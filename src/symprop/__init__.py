@@ -10,10 +10,8 @@ cross-checks the exact values by sampling.
 """
 
 from .divisors import (
-    DivisorProfile,
     divisor_list,
     divisor_rich_candidates,
-    gamma,
     gamma_value,
 )
 from .proportions import (
@@ -51,7 +49,6 @@ from .reports import BoundReport, CondProbReport
 from .sampler import (
     SampleStats,
     SearchStats,
-    estimate_event,
     estimate_order_divides,
     power_order,
     random_cycle_type,
@@ -65,7 +62,6 @@ __all__ = [
     "CaseSpec",
     "CondProbReport",
     "CycleType",
-    "DivisorProfile",
     "EXPECTED_MAJORANT_FAILURES",
     "ProportionTable",
     "SampleStats",
@@ -79,9 +75,7 @@ __all__ = [
     "default_table",
     "divisor_list",
     "divisor_rich_candidates",
-    "estimate_event",
     "estimate_order_divides",
-    "gamma",
     "gamma_value",
     "lower_bound_for",
     "power_order",

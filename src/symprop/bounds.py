@@ -222,7 +222,7 @@ def verify_exceptional_m(m: int) -> BoundReport:
     """Direct check S_capped(n, m) <= (n-1)(n-2)(1 + gamma*m/n) for all
     n with sqrt(gamma*m) <= n <= m + 1; only m = 72 and m = 120 qualify.
     """
-    if m not in (72, 120):
+    if m not in EXPECTED_MAJORANT_FAILURES:
         raise ValueError("direct check applies to m = 72 and m = 120 only")
     g = gamma_value(m)
     p, q = g.numerator, g.denominator

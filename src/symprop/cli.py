@@ -14,24 +14,22 @@ failure set is the expected outcome and exits 0, while any other set
 Output formats: "table" renders every rational as num/den plus a
 6-significant-digit decimal, "csv" emits the per-module column
 contracts with newline line endings (byte-stable across runs for equal
-arguments and seed), "json" mirrors the csv fields.  Progress for long
-sweeps goes to stderr, never stdout.
-
-A proportion memo can be persisted between runs: pass --cache PATH or
-set SYMPROP_CACHE.  The file is plain CSV of table rows and is loaded
-if present, rewritten after the command.
+arguments and seed), "json" mirrors the csv fields.  Each command builds
+its records and text lines and hands them to :func:`symprop.reports.emit`,
+the one writer of results; integers print with every digit at any size.
+Progress for long sweeps goes to stderr, never stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .bounds import (
+    EXPECTED_MAJORANT_FAILURES,
     check_prop_upper_bound,
     prop_upper_bound_near,
     sweep_divisor_majorant,
@@ -40,210 +38,64 @@ from .bounds import (
 )
 from .divisors import applicable_variants, check_divisor_count_bound, divisor_list
 from .divisors import gamma_value, sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
-from .proportions import ProportionTable, prop_split
+from .proportions import ProportionTable, prop_alternating, prop_split
 from .recognition import TABLE2_EXCEPTIONS, case_params, cond_prob, verify_theorem2
-from .reports import BoundReport, dec6, write_cond_reports_csv, write_reports_csv
+from .reports import BoundReport, CondProbReport, cell, emit, exact, frac, value
 from .sampler import estimate_case_event, estimate_order_divides, search_cost_sim
-
-CACHE_ENV = "SYMPROP_CACHE"
 
 # cases 1, 4, 5 stay cheap far beyond the default window of the others
 _THM2_DEFAULT_HI = {1: 1000, 4: 1000, 5: 1000}
 _THM2_FALLBACK_HI = 300
-_CASE_MINS = {1: 5, 4: 5, 5: 5}
+_VALUE_COLUMNS = ("n", "m", "kind", "numerator", "denominator", "decimal")
 
 
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _frac(x: Fraction) -> str:
-    num, den = x.numerator, x.denominator
-    body = str(num) if den == 1 else f"{num}/{den}"
-    return f"{body} ({dec6(x)})"
+def _emit_bounds(args: argparse.Namespace, reports: Sequence[BoundReport],
+                 head: Sequence[str] = (), tail: Sequence[str] = ()) -> None:
+    """Bound reports as records; table mode puts ``head`` and ``tail`` around them."""
+    emit(args.format, BoundReport.columns, (r.record() for r in reports),
+         chain(head, (r.line() for r in reports), tail))
 
 
-def _load_table(args: argparse.Namespace) -> tuple[ProportionTable, str | None]:
-    path = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
-    if path and os.path.exists(path):
-        with open(path, encoding="ascii") as fh:
-            return ProportionTable.load_csv(fh), path
-    return ProportionTable(), path
+def _emit_value(args: argparse.Namespace, kind: str, x: Fraction) -> None:
+    rec = {"n": args.n, "m": args.m, "kind": kind, **value(x)}
+    emit(args.format, _VALUE_COLUMNS, [rec], map(frac, [x]), doc=rec)
 
 
-def _save_table(table: ProportionTable, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            table.save_csv(fh)
-
-
-def _bound_json(rep: BoundReport) -> dict:
-    return {
-        "kind": rep.kind,
-        "n": rep.n,
-        "m": rep.m,
-        "d": rep.d,
-        "lhs_num": str(rep.lhs.numerator),
-        "lhs_den": str(rep.lhs.denominator),
-        "rhs_num": str(rep.rhs.numerator),
-        "rhs_den": str(rep.rhs.denominator),
-        "passed": rep.passed,
-        "witness": rep.witness,
-    }
-
-
-def _print_bound_table(reports: Sequence[BoundReport]) -> None:
-    for rep in reports:
-        where = " ".join(
-            f"{k}={v}" for k, v in (("n", rep.n), ("m", rep.m), ("d", rep.d)) if v is not None
-        )
-        verdict = "pass" if rep.passed else "FAIL"
-        line = f"{rep.kind} {where}: {_frac(rep.lhs)} <= {_frac(rep.rhs)} {verdict}"
-        if rep.witness:
-            line += f" [{rep.witness}]"
-        print(line)
-
-
-def _emit_bounds(args: argparse.Namespace, reports: Sequence[BoundReport]) -> None:
-    if args.format == "csv":
-        write_reports_csv(sys.stdout, reports)
-    elif args.format == "json":
-        json.dump([_bound_json(r) for r in reports], sys.stdout, indent=2)
-        print()
-    else:
-        _print_bound_table(reports)
-
-
-def _cond_json(rep) -> dict:
-    return {
-        "case": rep.case_id,
-        "n": rep.n,
-        "r": rep.r,
-        "pA_num": str(rep.p_A.numerator),
-        "pA_den": str(rep.p_A.denominator),
-        "pA_dec": dec6(rep.p_A),
-        "pB_num": str(rep.p_B.numerator),
-        "pB_den": str(rep.p_B.denominator),
-        "pB_dec": dec6(rep.p_B),
-        "pAgivenB_num": str(rep.p_A_given_B.numerator),
-        "pAgivenB_den": str(rep.p_A_given_B.denominator),
-        "pAgivenB_dec": dec6(rep.p_A_given_B),
-        "bound_num": str(rep.lower_bound.numerator),
-        "bound_den": str(rep.lower_bound.denominator),
-        "passed": rep.passed,
-    }
-
-
-def _emit_conds(args: argparse.Namespace, reports) -> None:
-    if args.format == "csv":
-        write_cond_reports_csv(sys.stdout, reports)
-    elif args.format == "json":
-        json.dump([_cond_json(r) for r in reports], sys.stdout, indent=2)
-        print()
-    else:
-        for rep in reports:
-            verdict = "pass" if rep.passed else "FAIL"
-            print(
-                f"case {rep.case_id} n={rep.n} r={rep.r}: "
-                f"P(A)={_frac(rep.p_A)} P(B)={_frac(rep.p_B)} "
-                f"P(A|B)={_frac(rep.p_A_given_B)} >= {_frac(rep.lower_bound)} {verdict}"
-            )
+def _emit_flat(args: argparse.Namespace, rec: dict, lines: Sequence[str]) -> None:
+    """One record whose json fields are all strings, as in its csv row."""
+    rec = {k: cell(v) for k, v in rec.items()}
+    emit(args.format, rec, [rec], lines, doc=rec)
 
 
 # --- plain value queries -----------------------------------------------------
 
 
 def cmd_prop(args: argparse.Namespace) -> int:
-    table, cache = _load_table(args)
-    value = table.prop(args.n, args.m, signed=args.signed)
-    _save_table(table, cache)
-    kind = "prop-signed" if args.signed else "prop"
-    if args.format == "csv":
-        print("n,m,kind,numerator,denominator,decimal")
-        print(f"{args.n},{args.m},{kind},{value.numerator},{value.denominator},{dec6(value)}")
-    elif args.format == "json":
-        json.dump(
-            {
-                "n": args.n,
-                "m": args.m,
-                "kind": kind,
-                "numerator": str(value.numerator),
-                "denominator": str(value.denominator),
-                "decimal": dec6(value),
-            },
-            sys.stdout,
-            indent=2,
-        )
-        print()
-    else:
-        print(_frac(value))
+    x = ProportionTable().prop(args.n, args.m, signed=args.signed)
+    _emit_value(args, "prop-signed" if args.signed else "prop", x)
     return 0
 
 
 def cmd_alt_prop(args: argparse.Namespace) -> int:
-    from .proportions import prop_alternating
-
-    table, cache = _load_table(args)
-    value = prop_alternating(args.n, args.m, table=table)
-    _save_table(table, cache)
-    if args.format == "csv":
-        print("n,m,kind,numerator,denominator,decimal")
-        print(f"{args.n},{args.m},alt,{value.numerator},{value.denominator},{dec6(value)}")
-    elif args.format == "json":
-        json.dump(
-            {
-                "n": args.n,
-                "m": args.m,
-                "kind": "alt",
-                "numerator": str(value.numerator),
-                "denominator": str(value.denominator),
-                "decimal": dec6(value),
-            },
-            sys.stdout,
-            indent=2,
-        )
-        print()
-    else:
-        print(_frac(value))
+    _emit_value(args, "alt", prop_alternating(args.n, args.m, table=ProportionTable()))
     return 0
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    table, cache = _load_table(args)
-    part = prop_split(args.n, args.m, table=table)
-    total = part.total
-    _save_table(table, cache)
-    rows = [
-        ("one_cycle", part.one_cycle),
-        ("two_cycles", part.two_cycles),
-        ("three_cycles", part.three_cycles),
-        ("total", total),
-    ]
-    if args.format == "csv":
-        print("n,m,component,numerator,denominator,decimal")
-        for name, v in rows:
-            print(f"{args.n},{args.m},{name},{v.numerator},{v.denominator},{dec6(v)}")
-    elif args.format == "json":
-        json.dump(
-            {
-                "n": args.n,
-                "m": args.m,
-                "components": {
-                    name: {
-                        "numerator": str(v.numerator),
-                        "denominator": str(v.denominator),
-                        "decimal": dec6(v),
-                    }
-                    for name, v in rows
-                },
-            },
-            sys.stdout,
-            indent=2,
-        )
-        print()
-    else:
-        for name, v in rows:
-            print(f"{name}: {_frac(v)}")
+    part = prop_split(args.n, args.m, table=ProportionTable())
+    parts = {**part._asdict(), "total": part.total}
+    emit(
+        args.format,
+        ("n", "m", "component", "numerator", "denominator", "decimal"),
+        ({"n": args.n, "m": args.m, "component": name, **value(x)} for name, x in parts.items()),
+        (f"{name}: {frac(x)}" for name, x in parts.items()),
+        doc={"n": args.n, "m": args.m,
+             "components": {name: value(x) for name, x in parts.items()}},
+    )
     return 0
 
 
@@ -251,17 +103,12 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    table, cache = _load_table(args)
+    table = ProportionTable()
     reports = [check_prop_upper_bound(args.n, args.m, table=table)]
     if args.m in (args.n - 1, args.n):
-        value = table.prop(args.n, args.m)
+        x = table.prop(args.n, args.m)
         near = prop_upper_bound_near(args.n, args.m)
-        reports.append(
-            BoundReport(
-                "prop-upper-near", args.n, args.m, None, value, near, value <= near
-            )
-        )
-    _save_table(table, cache)
+        reports.append(BoundReport("prop-upper-near", args.n, args.m, None, x, near, x <= near))
     _emit_bounds(args, reports)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -269,11 +116,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_divisors(args: argparse.Namespace) -> int:
     n = args.n
     reports = [check_divisor_count_bound(n, v) for v in applicable_variants(n)]
-    if args.format == "table":
-        ds = divisor_list(n)
-        listing = ",".join(map(str, ds)) if len(ds) <= 40 else f"({len(ds)} divisors)"
-        print(f"n={n} d(n)={len(ds)} divisors={listing} gamma={_frac(gamma_value(n))}")
-    _emit_bounds(args, reports)
+    ds = divisor_list(n)
+    listing = ",".join(map(str, ds)) if len(ds) <= 40 else f"({len(ds)} divisors)"
+    _emit_bounds(args, reports, head=[
+        f"n={n} d(n)={len(ds)} divisors={listing} gamma={frac(gamma_value(n))}"])
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -283,13 +129,10 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
         args.limit, containment_limit=containment, progress=_progress
     )
     failures += sweep_quadratic_divisor_sums(args.pairs_max, progress=_progress)
-    if args.format == "table":
-        scope = f"counts to {args.limit}" + (f", containment to {containment}" if containment else "")
-        print(f"divisor lemmas ({scope}; quadratic sums to n={args.pairs_max}): "
-              f"{len(failures)} failures")
-        _print_bound_table(failures)
-    else:
-        _emit_bounds(args, failures)
+    scope = f"counts to {args.limit}" + (f", containment to {containment}" if containment else "")
+    _emit_bounds(args, failures, head=[
+        f"divisor lemmas ({scope}; quadratic sums to n={args.pairs_max}): "
+        f"{len(failures)} failures"])
     return 0 if not failures else 1
 
 
@@ -297,25 +140,17 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_thm1(args: argparse.Namespace) -> int:
-    table, cache = _load_table(args)
     failures = sweep_prop_bound(
         args.n_lo,
         args.n_hi,
         args.m_mult,
-        table=table if args.jobs <= 1 else None,
+        table=ProportionTable(),
         progress=_progress,
         jobs=args.jobs,
     )
-    if args.jobs <= 1:
-        _save_table(table, cache)
-    if args.format == "table":
-        print(
-            f"proportion bound, {args.n_lo} <= n <= {args.n_hi}, "
-            f"n-1 <= m <= {args.m_mult}*n: {len(failures)} failures"
-        )
-        _print_bound_table(failures)
-    else:
-        _emit_bounds(args, failures)
+    _emit_bounds(args, failures, head=[
+        f"proportion bound, {args.n_lo} <= n <= {args.n_hi}, "
+        f"n-1 <= m <= {args.m_mult}*n: {len(failures)} failures"])
     return 0 if not failures else 1
 
 
@@ -328,87 +163,52 @@ def cmd_verify_shat(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     got = sorted(r.m for r in failures)
-    expected = [m for m in (72, 120) if m <= m_max]
+    expected = sorted(m for m in EXPECTED_MAJORANT_FAILURES if m <= m_max)
     direct = [verify_exceptional_m(m) for m in expected]
     as_expected = got == expected and all(r.passed for r in direct)
-    if args.format == "table":
-        print(f"divisor majorant sweep to m={m_max}: failing m = {got or 'none'} "
-              f"(expected {expected})")
-        _print_bound_table(list(failures) + direct)
-        print("outcome: " + ("expected failure set, direct checks pass"
-                             if as_expected else "UNEXPECTED failure set"))
-    else:
-        _emit_bounds(args, list(failures) + direct)
+    _emit_bounds(
+        args, failures + direct,
+        head=[f"divisor majorant sweep to m={m_max}: failing m = {got or 'none'} "
+              f"(expected {expected})"],
+        tail=["outcome: " + ("expected failure set, direct checks pass"
+                             if as_expected else "UNEXPECTED failure set")],
+    )
     return 0 if as_expected else 1
 
 
 def cmd_verify_thm2(args: argparse.Namespace) -> int:
-    table, cache = _load_table(args)
+    table = ProportionTable()
     cases = [args.case] if args.case else list(range(1, 11))
-    all_reports = []
+    reports = []
     for cid in cases:
-        lo = args.n_lo if args.n_lo else _CASE_MINS.get(cid, 8)
-        hi = args.n_hi if args.n_hi else _THM2_DEFAULT_HI.get(cid, _THM2_FALLBACK_HI)
-        all_reports.extend(verify_theorem2(cid, lo, hi, table=table, progress=_progress))
-    _save_table(table, cache)
-    failures = [r for r in all_reports if not r.passed]
-    if args.format == "table":
-        print(f"conditional floors over cases {cases}: "
-              f"{len(all_reports)} degrees, {len(failures)} failures")
-        _emit_conds(args, failures)
-    else:
-        _emit_conds(args, all_reports)
+        hi = args.n_hi or _THM2_DEFAULT_HI.get(cid, _THM2_FALLBACK_HI)
+        reports.extend(verify_theorem2(cid, args.n_lo or 1, hi, table=table,
+                                       progress=_progress))
+    failures = [r for r in reports if not r.passed]
+    # csv and json carry every degree; the table lists the failures under a summary
+    emit(args.format, CondProbReport.columns, (r.record() for r in reports), chain(
+        [f"conditional floors over cases {cases}: "
+         f"{len(reports)} degrees, {len(failures)} failures"],
+        (r.line() for r in failures)))
     return 0 if not failures else 1
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    table, cache = _load_table(args)
-    reports = [
-        cond_prob(case_params(cid, n), table=table)
-        for cid, n in sorted(TABLE2_EXCEPTIONS)
-    ]
-    _save_table(table, cache)
-    _emit_conds(args, reports)
+    table = ProportionTable()
+    reports = [cond_prob(case_params(cid, n), table=table) for cid, n in sorted(TABLE2_EXCEPTIONS)]
+    emit(args.format, CondProbReport.columns, (r.record() for r in reports),
+         (r.line() for r in reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
 # --- sampling ----------------------------------------------------------------
 
 
-def _stats_rows(fields: dict, st) -> tuple[list[str], list[str]]:
-    header = list(fields) + [
-        "trials",
-        "successes",
-        "estimate_num",
-        "estimate_den",
-        "estimate_dec",
-        "std_error",
-        "target_num",
-        "target_den",
-        "target_dec",
-        "within_4sigma",
-    ]
-    verdict = st.within_sigma(4)
-    row = [str(v) for v in fields.values()] + [
-        str(st.trials),
-        str(st.successes),
-        str(st.estimate.numerator),
-        str(st.estimate.denominator),
-        dec6(st.estimate),
-        f"{st.std_error:.6g}",
-        str(st.target_exact.numerator),
-        str(st.target_exact.denominator),
-        dec6(st.target_exact),
-        {True: "1", False: "0", None: ""}[verdict],
-    ]
-    return header, row
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
     if (args.m is None) == (args.case is None):
         print("symprop sample: give exactly one of --m or --case", file=sys.stderr)
         return 2
-    table, cache = _load_table(args)
+    table = ProportionTable()
     if args.m is not None:
         st = estimate_order_divides(
             args.n, args.m, args.trials, seed=args.seed, group=args.group, table=table
@@ -419,58 +219,36 @@ def cmd_sample(args: argparse.Namespace) -> int:
             args.case, args.n, args.event, args.trials, seed=args.seed, table=table
         )
         fields = {"kind": f"case-event-{args.event}", "n": args.n, "case": args.case}
-    _save_table(table, cache)
     verdict = st.within_sigma(4)
-    header, row = _stats_rows(fields, st)
-    if args.format == "csv":
-        print(",".join(header))
-        print(",".join(row))
-    elif args.format == "json":
-        json.dump(dict(zip(header, row)), sys.stdout, indent=2)
-        print()
-    else:
-        label = " ".join(f"{k}={v}" for k, v in fields.items() if v != "")
-        print(f"{label}: {st.successes}/{st.trials} = {_frac(st.estimate)}, "
-              f"target {_frac(st.target_exact)}, "
-              f"4-sigma {'pass' if verdict else 'FAIL'}")
+    label = " ".join(f"{k}={v}" for k, v in fields.items())
+    _emit_flat(args, {
+        **fields, "trials": st.trials, "successes": st.successes,
+        **exact("estimate", st.estimate), "std_error": f"{st.std_error:.6g}",
+        **exact("target", st.target_exact), "within_4sigma": verdict,
+    }, [f"{label}: {st.successes}/{st.trials} = {frac(st.estimate)}, "
+        f"target {frac(st.target_exact)}, 4-sigma {'pass' if verdict else 'FAIL'}"])
     return 0 if verdict is not False else 1
 
 
 def cmd_search_sim(args: argparse.Namespace) -> int:
-    table, cache = _load_table(args)
-    st = search_cost_sim(args.case, args.episodes, n=args.n, seed=args.seed, table=table)
-    _save_table(table, cache)
+    st = search_cost_sim(args.case, args.episodes, n=args.n, seed=args.seed,
+                         table=ProportionTable())
     mean_ok = st.mean_within_sigma(4)
     cond_ok = st.cond_within_sigma(4)
     expected_mean = 1 / st.target_exact
-    header = [
-        "case", "n", "episodes", "draws", "b_hits",
-        "mean_num", "mean_den", "mean_dec",
-        "expected_num", "expected_den", "expected_dec",
-        "cond_num", "cond_den", "cond_dec",
-        "mean_within_4sigma", "cond_within_4sigma",
-    ]
     cond_est = Fraction(st.successes, st.b_hits) if st.b_hits else Fraction(0)
-    row = [
-        str(args.case), str(args.n), str(st.successes), str(st.trials), str(st.b_hits),
-        str(st.mean_draws.numerator), str(st.mean_draws.denominator), dec6(st.mean_draws),
-        str(expected_mean.numerator), str(expected_mean.denominator), dec6(expected_mean),
-        str(cond_est.numerator), str(cond_est.denominator), dec6(cond_est),
-        "1" if mean_ok else "0",
-        "1" if cond_ok else "0",
-    ]
-    if args.format == "csv":
-        print(",".join(header))
-        print(",".join(row))
-    elif args.format == "json":
-        json.dump(dict(zip(header, row)), sys.stdout, indent=2)
-        print()
-    else:
-        print(f"case {args.case} n={args.n}: {st.successes} episodes, {st.trials} draws, "
-              f"mean {_frac(st.mean_draws)} vs {_frac(expected_mean)}, "
-              f"4-sigma {'pass' if mean_ok else 'FAIL'}")
-        print(f"power-test hits {st.b_hits}, acceptance {_frac(cond_est)} vs "
-              f"{_frac(st.target_cond)}, 4-sigma {'pass' if cond_ok else 'FAIL'}")
+    _emit_flat(args, {
+        "case": args.case, "n": args.n, "episodes": st.successes, "draws": st.trials,
+        "b_hits": st.b_hits, **exact("mean", st.mean_draws),
+        **exact("expected", expected_mean), **exact("cond", cond_est),
+        "mean_within_4sigma": bool(mean_ok), "cond_within_4sigma": bool(cond_ok),
+    }, [
+        f"case {args.case} n={args.n}: {st.successes} episodes, {st.trials} draws, "
+        f"mean {frac(st.mean_draws)} vs {frac(expected_mean)}, "
+        f"4-sigma {'pass' if mean_ok else 'FAIL'}",
+        f"power-test hits {st.b_hits}, acceptance {frac(cond_est)} vs "
+        f"{frac(st.target_cond)}, 4-sigma {'pass' if cond_ok else 'FAIL'}",
+    ])
     return 0 if mean_ok is not False and cond_ok is not False else 1
 
 
@@ -483,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("table", "csv", "json"), default="table",
         help="output format (default table)",
     )
-    common.add_argument("--cache", help=f"proportion memo CSV path (or ${CACHE_ENV})")
 
     parser = argparse.ArgumentParser(
         prog="symprop",
@@ -575,9 +352,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"symprop: {exc}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"symprop: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ with C an exact cube root (or square root) of a rational.  Every check is
 performed by clearing the root: ``d(n)**3 * denom <= num * n``.  No floats
 are involved, so a reported pass is a proof for that n.
 
-Also provided: the step function ``gamma`` used by the proportion bounds,
+Also provided: the step function ``gamma_value`` used by the proportion bounds,
 the per-prime factors ``(alpha+1)/p**(alpha/3)`` that drive the cube-root
 constants, the explicit finite set of candidate exceptions to the refined
 bound, and a quadratic divisor-sum inequality.
@@ -18,7 +18,6 @@ bound, and a quadratic divisor-sum inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable
@@ -29,11 +28,7 @@ from .enclosure import Interval, cbrt_enclosure
 from .reports import BoundReport
 
 __all__ = [
-    "DivisorProfile",
-    "GammaValue",
-    "divisors_of",
     "divisor_list",
-    "gamma",
     "gamma_value",
     "peak_exponent",
     "divisor_ratio_factor",
@@ -68,33 +63,11 @@ def divisor_list(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-@dataclass(frozen=True)
-class DivisorProfile:
-    """The divisors of one integer, with their count."""
-
-    n: int
-    divisors: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.divisors)
-
-
-def divisors_of(n: int) -> DivisorProfile:
-    return DivisorProfile(n, divisor_list(n))
-
-
 # --- the gamma step function -------------------------------------------------
 
 GAMMA_SMALL = Fraction(3345, 1000)  # m <= 60
 GAMMA_MID = Fraction(5, 2)  # 60 < m <= 360
 GAMMA_LARGE = Fraction(2)  # m > 360
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    m: int
-    gamma: Fraction
 
 
 def gamma_value(m: int) -> Fraction:
@@ -106,10 +79,6 @@ def gamma_value(m: int) -> Fraction:
     if m > 60:
         return GAMMA_MID
     return GAMMA_SMALL
-
-
-def gamma(m: int) -> GammaValue:
-    return GammaValue(m, gamma_value(m))
 
 
 # --- cube-root divisor-count bounds ------------------------------------------

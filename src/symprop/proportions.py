@@ -27,7 +27,6 @@ by the test suite.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _iter_permutations
 from math import lcm
-from typing import IO, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .divisors import divisor_list
 
@@ -176,51 +175,6 @@ class ProportionTable:
 
     def ensure(self, m: int, upto: int, signed: bool = False) -> None:
         self._row(m, signed, upto)
-
-    def entries(self) -> Iterator[tuple[int, int, bool, Fraction]]:
-        """All memoized values as (n, m, signed, value), sorted, n >= 1."""
-        for m, signed in sorted(self._rows):
-            row = self._rows[(m, signed)]
-            for n in range(1, len(row)):
-                yield n, m, signed, Fraction(row[n], self.factorial(n))
-
-    def save_csv(self, out: IO[str]) -> None:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "m", "signed", "numerator", "denominator"])
-        for n, m, signed, value in self.entries():
-            writer.writerow([n, m, "1" if signed else "0", value.numerator, value.denominator])
-
-    @classmethod
-    def load_csv(cls, src: IO[str]) -> "ProportionTable":
-        """Rebuild a table from ``save_csv`` output.
-
-        Rows must be contiguous in n starting at 1 for each (m, signed);
-        anything after a gap is ignored.  A value that is not an exact
-        multiple of 1/n! is rejected.
-        """
-        table = cls()
-        reader = csv.reader(src)
-        header = next(reader, None)
-        if header != ["n", "m", "signed", "numerator", "denominator"]:
-            raise ValueError("unrecognized proportion-table CSV header")
-        grouped: dict[tuple[int, bool], dict[int, Fraction]] = {}
-        for rec in reader:
-            if not rec:
-                continue
-            n, m, signed = int(rec[0]), int(rec[1]), rec[2] == "1"
-            grouped.setdefault((m, signed), {})[n] = Fraction(int(rec[3]), int(rec[4]))
-        for (m, signed), values in grouped.items():
-            row = [1]
-            n = 1
-            while n in values:
-                fact = table.factorial(n)
-                num = values[n] * fact
-                if num.denominator != 1:
-                    raise ValueError(f"corrupt table entry at n={n}, m={m}")
-                row.append(num.numerator)
-                n += 1
-            table._rows[(m, signed)] = row
-        return table
 
 
 _DEFAULT_TABLE = ProportionTable()

@@ -199,7 +199,7 @@ def prob_A_centralizer(spec: CaseSpec) -> Fraction:
     return p
 
 
-def prob_A_rcycle(spec: CaseSpec, *, table: ProportionTable | None = None) -> Fraction:
+def prob_A_rcycle(spec: CaseSpec) -> Fraction:
     """Probability that g satisfies B and has some r-cycle.
 
     The leftover n - r points form a type whose parts must divide s*r

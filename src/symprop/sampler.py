@@ -37,7 +37,6 @@ __all__ = [
     "estimate_order_divides",
     "estimate_case_event",
     "estimate_predicate",
-    "estimate_event",
     "search_cost_sim",
 ]
 
@@ -305,25 +304,6 @@ def estimate_predicate(
             if predicate(CycleType(_cycle_lengths(row))):
                 hits += 1
     return SampleStats.from_counts(trials, hits, target)
-
-
-def estimate_event(
-    case_or_predicate: int | Callable[[CycleType], bool],
-    n: int,
-    trials: int,
-    *,
-    event: str = "A",
-    m: int | None = None,
-    seed: np.random.Generator | int | None = None,
-    group: str = "S",
-    table: ProportionTable | None = None,
-) -> SampleStats:
-    """Dispatcher: family id with event 'A'/'B', order test via m, or predicate."""
-    if m is not None:
-        return estimate_order_divides(n, m, trials, seed=seed, group=group, table=table)
-    if callable(case_or_predicate):
-        return estimate_predicate(n, case_or_predicate, trials, seed=seed, group=group)
-    return estimate_case_event(int(case_or_predicate), n, event, trials, seed=seed, table=table)
 
 
 def search_cost_sim(

@@ -1,20 +1,14 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 
 CLI = [sys.executable, "-m", "symprop"]
 
 
-def run(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=merged, timeout=300
-    )
+def run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=300)
 
 
 def test_prop_anchor():
@@ -118,14 +112,3 @@ def test_search_sim_smoke():
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["mean_within_4sigma"] == "1"
-
-
-def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "memo.csv")
-    first = run("prop", "--n", "25", "--m", "12", env={"SYMPROP_CACHE": path})
-    assert first.returncode == 0
-    assert os.path.exists(path)
-    again = run("prop", "--n", "25", "--m", "12", env={"SYMPROP_CACHE": path})
-    assert again.stdout == first.stdout
-    flagged = run("prop", "--n", "25", "--m", "12", "--cache", path)
-    assert flagged.stdout == first.stdout

@@ -1,0 +1,138 @@
+"""Golden outputs of the command line: exit status and stdout bytes.
+
+Every case in ``golden_cli.json`` is one argv list with the exit status
+and the sha256 of the stdout it produced when the data was captured.  The
+test replays each case in-process through ``symprop.cli.main`` at the
+interpreter's default int->str digit limit and requires the same status
+and byte-identical stdout.
+
+The data was captured once, before the output code of ``cli.py`` was
+rewritten, by
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py --capture
+
+which lifts the digit limit in its own process only, so the large-n
+``prop`` cases recorded their full digits.  Never regenerate the data
+after editing ``cli.py``: that would turn whatever the edited code prints
+into the expectation.  Add a case only by capturing it at a commit whose
+output is already trusted.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from symprop import cli
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+FORMATS = ("table", "csv", "json")
+
+# Every subcommand on small fixed arguments, each run in all three formats.
+_PER_FORMAT = [
+    ["prop", "--n", "4", "--m", "3"],
+    ["prop", "--n", "4", "--m", "2", "--signed"],
+    ["prop", "--n", "2000", "--m", "2"],
+    ["split", "--n", "11", "--m", "8"],
+    ["alt-prop", "--n", "9", "--m", "12"],
+    ["bound", "--n", "30", "--m", "60"],
+    ["bound", "--n", "12", "--m", "11"],
+    ["bound", "--n", "12", "--m", "12"],
+    ["verify-thm1", "--n-hi", "20"],
+    ["verify-thm1", "--n-lo", "8", "--n-hi", "16", "--m-mult", "2", "--jobs", "2"],
+    ["verify-shat", "--m-max", "200", "--no-candidates"],
+    ["verify-shat", "--m-max", "50"],
+    ["verify-shat", "--m-max", "50", "--no-candidates"],
+    ["verify-shat", "--m-max", "130", "--no-candidates", "--jobs", "2"],
+    ["verify-thm2", "--case", "10", "--n-hi", "40"],
+    ["verify-thm2", "--case", "1", "--n-hi", "30"],
+    ["verify-thm2", "--n-hi", "26"],
+    ["verify-thm2", "--case", "6", "--n-lo", "10", "--n-hi", "40"],
+    ["table2"],
+    ["divisors", "--n", "360"],
+    ["divisors", "--n", "720720"],
+    ["divisors", "--n", "1"],
+    ["lemma-check", "--limit", "3000", "--pairs-max", "100"],
+    ["sample", "--n", "10", "--m", "10", "--trials", "3000", "--seed", "5"],
+    ["sample", "--n", "8", "--m", "6", "--group", "A", "--trials", "2000", "--seed", "2"],
+    ["sample", "--case", "4", "--n", "9", "--event", "B", "--trials", "2000", "--seed", "7"],
+    ["sample", "--case", "10", "--n", "13", "--event", "A", "--trials", "2000", "--seed", "4"],
+    ["search-sim", "--case", "1", "--n", "10", "--episodes", "200", "--seed", "3"],
+    ["search-sim", "--case", "2", "--n", "13", "--episodes", "50", "--seed", "9"],
+]
+
+# Usage errors: argparse rejections and argument-validation failures.
+_ERRORS = [
+    [],
+    ["nosuch"],
+    ["prop", "--n", "4"],
+    ["prop", "--n", "4", "--m", "3", "--format", "xml"],
+    ["prop", "--n", "4", "--m", "0"],
+    ["split", "--n", "2", "--m", "3"],
+    ["alt-prop", "--n", "1", "--m", "3"],
+    ["bound", "--n", "10", "--m", "5"],
+    ["verify-thm1", "--n-lo", "3"],
+    ["verify-shat", "--m-max", "1"],
+    ["verify-thm2", "--case", "11"],
+    ["sample", "--n", "9"],
+    ["sample", "--n", "9", "--m", "3", "--case", "4"],
+    ["sample", "--n", "9", "--m", "3", "--trials", "0"],
+]
+
+CASES = [argv + ["--format", fmt] for argv in _PER_FORMAT for fmt in FORMATS] + _ERRORS
+
+
+def run_case(argv: list[str]) -> tuple[int, bytes]:
+    """Run one invocation in-process; return (exit status, stdout bytes)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:  # argparse reports usage errors this way
+            status = exc.code if isinstance(exc.code, int) else 1
+    return status, out.getvalue().encode()
+
+
+def _key(argv: list[str]) -> str:
+    return " ".join(argv) or "(no arguments)"
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, dict]:
+    with open(DATA, encoding="utf-8") as fh:
+        return json.load(fh)["cases"]
+
+
+@pytest.mark.parametrize("argv", CASES, ids=_key)
+def test_golden_output(argv, golden):
+    key = _key(argv)
+    want = golden[key]
+    status, out = run_case(argv)
+    assert status == want["status"], f"{key}: exit {status}, expected {want['status']}"
+    assert len(out) == want["bytes"], f"{key}: {len(out)} stdout bytes, expected {want['bytes']}"
+    assert hashlib.sha256(out).hexdigest() == want["sha256"], f"{key}: stdout differs"
+
+
+def capture() -> dict:
+    sys.set_int_max_str_digits(0)
+    cases = {}
+    for argv in CASES:
+        status, out = run_case(argv)
+        cases[_key(argv)] = {"status": status, "bytes": len(out),
+                             "sha256": hashlib.sha256(out).hexdigest()}
+        print(f"{status} {_key(argv)}", file=sys.stderr)
+    return cases
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--capture"]:
+        raise SystemExit("usage: test_cli_golden.py --capture")
+    with open(DATA, "w", encoding="utf-8") as fh:
+        json.dump({"cases": capture()}, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -79,13 +79,13 @@ def test_prob_a_centralizer_route():
             assert prob_A(spec) == prob_A_centralizer(spec), (cid, n)
 
 
-def test_prob_a_rcycle_route(table):
+def test_prob_a_rcycle_route():
     # counting whole types whose r-th power is an s-cycle product picks up
     # a second class only in family 9, where 3^2 r^1 also lands on type 3^1
     for cid in ALL_CASES:
         for n in admissible_degrees(cid, 8, 36):
             spec = case_params(cid, n)
-            via_types = prob_A_rcycle(spec, table=table)
+            via_types = prob_A_rcycle(spec)
             factor = 2 if cid == 9 else 1
             assert via_types == factor * prob_A(spec), (cid, n)
 

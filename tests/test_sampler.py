@@ -8,7 +8,6 @@ from symprop.recognition import case_params, cond_prob, prob_A, prob_B
 from symprop.sampler import (
     SampleStats,
     estimate_case_event,
-    estimate_event,
     estimate_order_divides,
     estimate_predicate,
     power_order,
@@ -104,12 +103,12 @@ def test_estimate_case_events(table):
 
 
 def test_estimate_event_dispatch(table):
-    st = estimate_event(lambda t: t.order % 2 == 1, 6, 20_000, seed=6)
+    st = estimate_predicate(6, lambda t: t.order % 2 == 1, 20_000, seed=6)
     assert st.target_exact is None
     assert st.within_sigma(4) is None
     st2 = estimate_predicate(6, lambda t: t.order % 2 == 1, 20_000, seed=6)
     assert st2.successes == st.successes
-    st3 = estimate_event(4, 9, 20_000, seed=7, event="B", table=table)
+    st3 = estimate_case_event(4, 9, "B", 20_000, seed=7, table=table)
     assert st3.target_exact == prob_B(case_params(4, 9), table=table)
 
 
