@@ -18,7 +18,6 @@ from .proportions import (
     CycleType,
     ProportionTable,
     SplitProportions,
-    brute_force_prop,
     default_table,
     prop_alternating,
     prop_order_dividing,
@@ -68,7 +67,6 @@ __all__ = [
     "SearchStats",
     "SplitProportions",
     "TABLE2_EXCEPTIONS",
-    "brute_force_prop",
     "case_params",
     "check_prop_upper_bound",
     "cond_prob",

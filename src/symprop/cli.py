@@ -37,7 +37,8 @@ from .bounds import (
     verify_exceptional_m,
 )
 from .divisors import applicable_variants, check_divisor_count_bound, divisor_list
-from .divisors import gamma_value, sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
+from .divisors import divisor_rich_candidates, gamma_value
+from .divisors import sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
 from .proportions import ProportionTable, prop_alternating, prop_split
 from .recognition import TABLE2_EXCEPTIONS, case_params, cond_prob, verify_theorem2
 from .reports import BoundReport, CondProbReport, cell, emit, exact, frac, value
@@ -163,7 +164,9 @@ def cmd_verify_shat(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     got = sorted(r.m for r in failures)
-    expected = sorted(m for m in EXPECTED_MAJORANT_FAILURES if m <= m_max)
+    # the sweep covers m <= m_max and, unless turned off, the candidates above
+    candidates = () if args.no_candidates else divisor_rich_candidates()
+    expected = sorted(m for m in EXPECTED_MAJORANT_FAILURES if m <= m_max or m in candidates)
     direct = [verify_exceptional_m(m) for m in expected]
     as_expected = got == expected and all(r.passed for r in direct)
     _emit_bounds(

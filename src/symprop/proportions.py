@@ -20,9 +20,9 @@ C(n) = n! * P(n, m) rather than fractions, so a row is built with pure
 big-integer arithmetic and a Fraction is only formed at query time.
 
 The module also provides the split of P(n, m) by how three marked points
-fall among the cycles, two divisor summations S and S-hat that majorize
-n(n-1)(n-2) times cycle-count contributions, and brute-force oracles used
-by the test suite.
+fall among the cycles, and two divisor summations S and S-hat that
+majorize n(n-1)(n-2) times cycle-count contributions.  The brute-force
+oracles these are tested against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _iter_permutations
 from math import lcm
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .divisors import divisor_list
 
@@ -49,8 +48,6 @@ __all__ = [
     "prop_split",
     "divisor_sum_capped",
     "divisor_sum_relaxed",
-    "brute_force_prop",
-    "iter_partitions",
 ]
 
 
@@ -97,19 +94,6 @@ class CycleType:
     def proportion_of_sym(self) -> Fraction:
         """Proportion of S_n with this cycle type (1 over the centralizer order)."""
         return Fraction(1, self.centralizer_order())
-
-
-def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield the partitions of n as descending tuples."""
-    if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
-    top = n if max_part is None or max_part > n else max_part
-    for first in range(top, 0, -1):
-        for rest in iter_partitions(n - first, first):
-            yield (first,) + rest
 
 
 class ProportionTable:
@@ -384,110 +368,3 @@ def divisor_sum_relaxed(n: int, m: int) -> Fraction:
     if m < 1:
         raise ValueError("m must be positive")
     return Fraction(_relaxed_evaluator(m).value(n))
-
-
-def _divisor_sum_relaxed_naive(n: int, m: int) -> int:
-    # reference implementation, kept for the dual-route tests
-    divs = [d for d in divisor_list(m) if d <= n]
-    first = sum((d - 1) * (d - 2) for d in divs if d >= 3)
-    pairs = sum(
-        d2 - 1 for d2 in divs for d1 in divs if d2 >= 2 and d1 + d2 <= m
-    )
-    triples = sum(
-        1
-        for d1 in divs
-        for d2 in divs
-        for d3 in divs
-        if d1 + d2 + d3 <= m
-    )
-    return first + 3 * pairs + triples
-
-
-# --- oracles -----------------------------------------------------------------
-
-
-def _cycle_parts_of_mapping(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    parts = []
-    for i in range(len(perm)):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            parts.append(length)
-    return tuple(sorted(parts))
-
-
-@lru_cache(maxsize=None)
-def _sym_type_census(n: int) -> dict[tuple[int, ...], int]:
-    """Cycle-type counts of S_n by full enumeration.  Keep n small."""
-    counts: Counter[tuple[int, ...]] = Counter()
-    for perm in _iter_permutations(range(n)):
-        counts[_cycle_parts_of_mapping(perm)] += 1
-    return dict(counts)
-
-
-def brute_force_prop(
-    n: int, m: int, mode: str = "permutations", signed: bool = False
-) -> Fraction:
-    """Oracle for the order-dividing proportion, independent of the recursion.
-
-    mode "permutations" enumerates all n! elements (n <= 10); mode
-    "partitions" sums 1/(prod d**k_d * k_d!) over partitions of n into
-    divisors of m via dynamic programming (n <= 60).  ``signed`` weights
-    each element by its sign.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if mode == "permutations":
-        if not 1 <= n <= 10:
-            raise ValueError("permutation enumeration is limited to n <= 10")
-        total = 0
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
-        for parts, cnt in _sym_type_census(n).items():
-            if m % lcm(*parts) == 0:
-                if signed and (n - len(parts)) % 2 == 1:
-                    total -= cnt
-                else:
-                    total += cnt
-        return Fraction(total, fact)
-    if mode == "partitions":
-        if not 1 <= n <= 60:
-            raise ValueError("partition DP is limited to n <= 60")
-        return _partition_dp(n, m, signed)
-    raise ValueError(f"unknown mode: {mode!r}")
-
-
-def _partition_dp(n: int, m: int, signed: bool) -> Fraction:
-    divs = [d for d in divisor_list(m) if d <= n]
-
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def f(i: int, rem: int) -> Fraction:
-        if rem == 0:
-            return Fraction(1)
-        if i == len(divs):
-            return Fraction(0)
-        key = (i, rem)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        d = divs[i]
-        total = Fraction(0)
-        coef = Fraction(1)
-        k = 0
-        while k * d <= rem:
-            if k:
-                coef /= d * k
-            w = -coef if signed and d % 2 == 0 and k % 2 == 1 else coef
-            total += w * f(i + 1, rem - k * d)
-            k += 1
-        memo[key] = total
-        return total
-
-    return f(0, n)

@@ -46,7 +46,6 @@ from .proportions import (
     CycleType,
     ProportionTable,
     default_table,
-    iter_partitions,
     prop_alternating,
 )
 from .reports import BoundReport, CondProbReport
@@ -57,8 +56,6 @@ __all__ = [
     "admissible_n",
     "admissible_degrees",
     "prob_A",
-    "prob_A_centralizer",
-    "prob_A_rcycle",
     "prob_B",
     "prob_B_upper_bound",
     "cond_prob",
@@ -180,51 +177,6 @@ _PROB_A_FORMS: dict[int, Fraction] = {
 def prob_A(spec: CaseSpec) -> Fraction:
     """Exact probability of the target cycle type in ``calc_group``."""
     return _PROB_A_FORMS[spec.case_id] / spec.r
-
-
-def prob_A_centralizer(spec: CaseSpec) -> Fraction:
-    """Same probability from the centralizer order of the type.
-
-    Independent of :func:`prob_A`: the proportion in S_n is the
-    reciprocal of prod(d**k_d * k_d!) over the multiset of cycle
-    lengths, and the A_n value doubles it after checking the type is
-    even.  Kept separate so the two routes stay cross-checkable.
-    """
-    p = spec.cycle_type.proportion_of_sym()
-    if spec.calc_group == "A":
-        # an odd target type would have probability 0 in A_n
-        if not spec.cycle_type.is_even:
-            return Fraction(0)
-        return 2 * p
-    return p
-
-
-def prob_A_rcycle(spec: CaseSpec) -> Fraction:
-    """Probability that g satisfies B and has some r-cycle.
-
-    The leftover n - r points form a type whose parts must divide s*r
-    and whose r-th power must have order exactly s.  For every family
-    except case 9 this forces the target type itself; in case 9 the
-    leftover six points can also form two 3-cycles, doubling the value.
-    """
-    from math import gcd, lcm  # tiny helpers, local to keep module imports flat
-
-    r, s = spec.r, spec.power_order
-    total = Fraction(0)
-    for rest in iter_partitions(spec.n - r):
-        if any((s * r) % d != 0 for d in rest):
-            continue
-        power = lcm(*(d // gcd(d, r) for d in rest)) if rest else 1
-        if power != s:
-            continue
-        t = CycleType(rest + (r,))
-        if spec.calc_group == "A":
-            if not t.is_even:
-                continue
-            total += 2 * t.proportion_of_sym()
-        else:
-            total += t.proportion_of_sym()
-    return total
 
 
 def prob_B(spec: CaseSpec, *, table: ProportionTable | None = None) -> Fraction:

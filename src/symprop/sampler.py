@@ -12,17 +12,19 @@ target t, trials T and successes s, the check is
 so no floating-point comparison can blur a verdict.  Alternating-group
 sampling rejects odd permutations, costing an expected factor 2.
 
-Powering a batch of permutations uses index composition on numpy
-arrays with binary powering, so order tests cost O(log m) compositions
-per batch rather than O(m).
+Every event is read off the length of the cycle through each point of
+a batch: pointer doubling gives each point its cycle's minimum in
+ceil(log2(n)) steps, and one bincount over the minima sizes the cycles.
+On a d-cycle g**e has order d/gcd(d, e), so the tests are elementwise.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, sqrt
-from typing import Callable
+from math import gcd, inf, lcm, sqrt
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,6 +41,11 @@ __all__ = [
     "estimate_predicate",
     "search_cost_sim",
 ]
+
+
+def _within_sigma(k: int, hits: int, trials: int, p: Fraction) -> bool:
+    """(hits - p*trials)**2 <= k**2 * p * (1 - p) * trials, exactly."""
+    return (hits - p * trials) ** 2 <= k * k * p * (1 - p) * trials
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,7 @@ class SampleStats:
         """Exact k-sigma verdict against the target; None without one."""
         if self.target_exact is None:
             return None
-        t = self.target_exact
-        lhs = (self.successes - t * self.trials) ** 2
-        rhs = k * k * t * (1 - t) * self.trials
-        return lhs <= rhs
+        return _within_sigma(k, self.successes, self.trials, self.target_exact)
 
 
 @dataclass(frozen=True)
@@ -112,42 +116,39 @@ class SearchStats(SampleStats):
         """Exact k-sigma verdict for successes among the b_hits draws."""
         if self.target_cond is None or self.b_hits == 0:
             return None
-        c = self.target_cond
-        lhs = (self.successes - c * self.b_hits) ** 2
-        rhs = k * k * c * (1 - c) * self.b_hits
-        return lhs <= rhs
+        return _within_sigma(k, self.successes, self.b_hits, self.target_cond)
 
 
-def _as_rng(seed: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _cycle_lengths(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point cycle lengths and row evenness of a (count, n) batch.
+
+    Point j of row i is numbered i*n + j, so each cycle's minimum labels
+    it across the batch, and a row's cycle count is its number of minima.
+    """
+    count, n = perms.shape
+    hop = (perms + (np.arange(count) * n)[:, None]).ravel()
+    mins = np.arange(count * n)
+    for _ in range(max(1, (n - 1).bit_length())):
+        np.minimum(mins, mins[hop], out=mins)
+        hop = hop[hop]
+    lengths = np.bincount(mins, minlength=count * n)[mins].reshape(count, n)
+    cycles = (mins == np.arange(count * n)).reshape(count, n).sum(axis=1)
+    return lengths, (n - cycles) % 2 == 0
 
 
-def _cycle_lengths(perm: np.ndarray) -> tuple[int, ...]:
-    n = perm.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    out: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        out.append(length)
-    return tuple(out)
+def _cycle_type(lengths: np.ndarray) -> CycleType:
+    """Cycle type of one row of per-point lengths: a d-cycle has d points."""
+    points = Counter(lengths.tolist())
+    return CycleType(tuple(d for d in points for _ in range(points[d] // d)))
 
 
 def random_cycle_type(n: int, seed: np.random.Generator | int | None = None) -> CycleType:
     """Cycle type of one uniform random element of S_n."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = _as_rng(seed)
-    perm = rng.permutation(n)
-    return CycleType(_cycle_lengths(perm))
+    perm = np.random.default_rng(seed).permutation(n)
+    lengths, _ = _cycle_lengths(perm[None, :])
+    return _cycle_type(lengths[0])
 
 
 def power_order(t: CycleType, r: int) -> int:
@@ -157,64 +158,45 @@ def power_order(t: CycleType, r: int) -> int:
     return lcm(*(d // gcd(d, r) for d in t.parts))
 
 
-def _batch_permutations(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    base = np.tile(np.arange(n), (count, 1))
-    return rng.permuted(base, axis=1)
-
-
-def _batch_power(perms: np.ndarray, e: int) -> np.ndarray:
-    """Row-wise e-th power of permutations under index composition."""
-    count, n = perms.shape
-    result = np.tile(np.arange(n), (count, 1))
-    base = perms
-    while e:
-        if e & 1:
-            result = np.take_along_axis(base, result, axis=1)
-        e >>= 1
-        if e:
-            base = np.take_along_axis(base, base, axis=1)
-    return result
-
-
-def _batch_is_even(perms: np.ndarray) -> np.ndarray:
-    """Row-wise parity via orbit minima by pointer doubling.
-
-    After ceil(log2(n)) doubling steps each position holds the minimum
-    of its cycle; the cycle count is the number of positions equal to
-    that minimum, and evenness is n - #cycles being even.
-    """
-    count, n = perms.shape
-    mins = np.tile(np.arange(n), (count, 1))
-    hop = perms
-    steps = max(1, int(n - 1).bit_length())
-    for _ in range(steps):
-        mins = np.minimum(mins, np.take_along_axis(mins, hop, axis=1))
-        hop = np.take_along_axis(hop, hop, axis=1)
-    cycles = (mins == np.arange(n)).sum(axis=1)
-    return (n - cycles) % 2 == 0
-
-
 _BATCH = 1 << 14
 
 
 def _sample_batches(
-    rng: np.random.Generator, n: int, trials: int, group: str
-) -> "list[np.ndarray]":
-    """Yield permutation batches totalling `trials` rows, A_n by rejection."""
-    batches: list[np.ndarray] = []
+    seed: np.random.Generator | int | None, n: int, trials: float, group: str
+) -> Iterator[np.ndarray]:
+    """Yield cycle lengths of batches totalling `trials` (may be inf) draws.
+
+    A_n rejects odd rows.  Row i of one rng.permuted call is the draw
+    the i-th of successive rng.permutation(n) calls would make.
+    """
+    rng = np.random.default_rng(seed)  # a Generator is used as it is
     need = trials
     while need > 0:
         take = min(_BATCH, need if group == "S" else 2 * need)
-        perms = _batch_permutations(rng, take, n)
+        lengths, even = _cycle_lengths(rng.permuted(np.tile(np.arange(n), (take, 1)), axis=1))
         if group == "A":
-            perms = perms[_batch_is_even(perms)]
-            perms = perms[:need]
-        else:
-            perms = perms[:need]
-        if perms.shape[0]:
-            batches.append(perms)
-            need -= perms.shape[0]
-    return batches
+            lengths = lengths[even]
+        if len(lengths) > need:
+            lengths = lengths[:need]
+        need -= len(lengths)
+        yield lengths
+
+
+def _event_mask(spec: CaseSpec, event: str, lengths: np.ndarray) -> np.ndarray:
+    """Rows of exactly the target type (A) or with g**r of order s (B).
+
+    g**r has order lcm(k) for k = d/gcd(d, r) over the points; as s is
+    1, 2 or 3, that is s iff every k divides s and, if s > 1, some k is s.
+    """
+    if event == "A":
+        parts = np.array(spec.cycle_type.parts)
+        return (np.sort(lengths, axis=1) == np.repeat(parts, parts)).all(axis=1)
+    s = spec.power_order
+    k = lengths // np.gcd(lengths, spec.r)
+    ok = (s % k == 0).all(axis=1)
+    if s > 1:
+        ok &= (k == s).any(axis=1)
+    return ok
 
 
 def estimate_order_divides(
@@ -231,12 +213,10 @@ def estimate_order_divides(
         raise ValueError("trials must be >= 1")
     if group not in ("S", "A"):
         raise ValueError("group must be 'S' or 'A'")
-    rng = _as_rng(seed)
-    hits = 0
-    identity = np.arange(n)
-    for perms in _sample_batches(rng, n, trials, group):
-        powered = _batch_power(perms, m)
-        hits += int((powered == identity).all(axis=1).sum())
+    # divides[d] says whether d divides m; a lookup, as m may exceed int64
+    divides = np.array([d > 0 and m % d == 0 for d in range(n + 1)])
+    hits = sum(int(divides[lengths].all(axis=1).sum())
+               for lengths in _sample_batches(seed, n, trials, group))
     t = table if table is not None else default_table()
     target = prop_alternating(n, m, table=t) if group == "A" else t.prop(n, m)
     return SampleStats.from_counts(trials, hits, target)
@@ -253,32 +233,16 @@ def estimate_case_event(
 ) -> SampleStats:
     """Empirical frequency of event A or B of a family, exact target attached.
 
-    Sampling happens in the family's computation group.  Event B is the
-    power condition and vectorizes (g**r must have order s); event A
-    compares full cycle types row by row.
+    Sampling happens in the family's computation group.  Event A is the
+    exact target type; event B is the power condition (g**r of order s).
     """
     if event not in ("A", "B"):
         raise ValueError("event must be 'A' or 'B'")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spec = case_params(case_id, n)
-    rng = _as_rng(seed)
-    hits = 0
-    identity = np.arange(n)
-    target_parts = spec.cycle_type.parts
-    s = spec.power_order
-    for perms in _sample_batches(rng, n, trials, spec.calc_group):
-        if event == "B":
-            h = _batch_power(perms, spec.r)
-            hs = _batch_power(h, s) if s > 1 else h
-            ok = (hs == identity).all(axis=1)
-            if s > 1:
-                ok &= ~(h == identity).all(axis=1)
-            hits += int(ok.sum())
-        else:
-            for row in perms:
-                if tuple(sorted(_cycle_lengths(row))) == target_parts:
-                    hits += 1
+    hits = sum(int(_event_mask(spec, event, lengths).sum())
+               for lengths in _sample_batches(seed, n, trials, spec.calc_group))
     target = prob_A(spec) if event == "A" else prob_B(spec, table=table)
     return SampleStats.from_counts(trials, hits, target)
 
@@ -297,12 +261,8 @@ def estimate_predicate(
         raise ValueError("trials must be >= 1")
     if group not in ("S", "A"):
         raise ValueError("group must be 'S' or 'A'")
-    rng = _as_rng(seed)
-    hits = 0
-    for perms in _sample_batches(rng, n, trials, group):
-        for row in perms:
-            if predicate(CycleType(_cycle_lengths(row))):
-                hits += 1
+    hits = sum(bool(predicate(_cycle_type(row)))
+               for lengths in _sample_batches(seed, n, trials, group) for row in lengths)
     return SampleStats.from_counts(trials, hits, target)
 
 
@@ -322,6 +282,9 @@ def search_cost_sim(
     ratio among those draws is observable.  Reports total draws against
     episodes, with 1/prob_A as the exact mean target and the exact
     conditional as the b_hits target.
+
+    Draws come _BATCH at a time but are counted one by one up to the
+    last hit, so a Generator passed as `seed` ends up advanced further.
     """
     if isinstance(spec, int):
         if n is None:
@@ -329,23 +292,16 @@ def search_cost_sim(
         spec = case_params(spec, n)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    rng = _as_rng(seed)
-    target_parts = spec.cycle_type.parts
-    s, r = spec.power_order, spec.r
-    group = spec.calc_group
-    draws = 0
-    b_hits = 0
-    for _ in range(episodes):
-        while True:
-            perm = rng.permutation(spec.n)
-            if group == "A" and not _batch_is_even(perm[None, :])[0]:
-                continue
-            draws += 1
-            t = CycleType(_cycle_lengths(perm))
-            if power_order(t, r) == s:
-                b_hits += 1
-            if t.parts == target_parts:
-                break
+    draws = b_hits = 0
+    need = episodes
+    for lengths in _sample_batches(seed, spec.n, inf, spec.calc_group):
+        hit = np.flatnonzero(_event_mask(spec, "A", lengths))
+        stop = hit[need - 1] + 1 if len(hit) >= need else len(lengths)
+        draws += int(stop)
+        b_hits += int(_event_mask(spec, "B", lengths[:stop]).sum())
+        need -= min(need, len(hit))
+        if not need:
+            break
     p_a = prob_A(spec)
     cond = cond_prob(spec, table=table).p_A_given_B
     est = Fraction(episodes, draws)

@@ -1,11 +1,15 @@
-"""Exact oracles for the alternating group that share no code with symprop.
+"""Exact oracles for the package's results that share no code with symprop.
 
-Nothing here imports the package.  Proportions are sums of ``1/z`` over
-cycle types, where ``z = prod(d**k_d * k_d!)`` is the centralizer order
-of a type with ``k_d`` cycles of length ``d``; the share of a type in
-A_n is ``2/z`` when the type is even and 0 otherwise.  The sums run over
-cycle types by a dynamic programme over the divisors of the modulus, so
-they neither use the cycle-count recursion of ``ProportionTable`` nor
+Nothing here imports the package; divisors are listed by trial division
+and families are given by plain arguments (parts, r, s, group) rather
+than a ``CaseSpec``.  Proportions are sums of ``1/z`` over cycle types,
+where ``z = prod(d**k_d * k_d!)`` is the centralizer order of a type
+with ``k_d`` cycles of length ``d``; the share of a type in A_n is
+``2/z`` when the type is even and 0 otherwise.
+
+The S_n oracles enumerate permutations or partitions.  The A_n oracles
+run a dynamic programme over the divisors of the modulus, so they
+neither use the cycle-count recursion of ``ProportionTable`` nor
 enumerate permutations, and they reach degrees (n = 85 and beyond) that
 the partition mode of ``brute_force_prop`` refuses.
 """
@@ -14,7 +18,163 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, lcm
+from functools import lru_cache
+from itertools import permutations
+from math import factorial, gcd, lcm
+from typing import Iterator
+
+
+def _divisors(m: int) -> list[int]:
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _centralizer_order(parts: tuple[int, ...]) -> int:
+    z = 1
+    for d, k in Counter(parts).items():
+        z *= d**k * factorial(k)
+    return z
+
+
+def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of n as descending tuples."""
+    if n < 0:
+        return
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None or max_part > n else max_part
+    for first in range(top, 0, -1):
+        for rest in iter_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _cycle_parts_of_mapping(perm: tuple[int, ...]) -> tuple[int, ...]:
+    seen = [False] * len(perm)
+    parts = []
+    for i in range(len(perm)):
+        if not seen[i]:
+            length = 0
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            parts.append(length)
+    return tuple(sorted(parts))
+
+
+@lru_cache(maxsize=None)
+def _sym_type_census(n: int) -> dict[tuple[int, ...], int]:
+    """Cycle-type counts of S_n by full enumeration.  Keep n small."""
+    counts: Counter[tuple[int, ...]] = Counter()
+    for perm in permutations(range(n)):
+        counts[_cycle_parts_of_mapping(perm)] += 1
+    return dict(counts)
+
+
+def brute_force_prop(
+    n: int, m: int, mode: str = "permutations", signed: bool = False
+) -> Fraction:
+    """Oracle for the order-dividing proportion, independent of the recursion.
+
+    mode "permutations" enumerates all n! elements (n <= 10); mode
+    "partitions" sums 1/(prod d**k_d * k_d!) over partitions of n into
+    divisors of m via dynamic programming (n <= 60).  ``signed`` weights
+    each element by its sign.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    if mode == "permutations":
+        if not 1 <= n <= 10:
+            raise ValueError("permutation enumeration is limited to n <= 10")
+        total = 0
+        for parts, cnt in _sym_type_census(n).items():
+            if m % lcm(*parts) == 0:
+                if signed and (n - len(parts)) % 2 == 1:
+                    total -= cnt
+                else:
+                    total += cnt
+        return Fraction(total, factorial(n))
+    if mode == "partitions":
+        if not 1 <= n <= 60:
+            raise ValueError("partition DP is limited to n <= 60")
+        return _partition_dp(n, m, signed)
+    raise ValueError(f"unknown mode: {mode!r}")
+
+
+def _partition_dp(n: int, m: int, signed: bool) -> Fraction:
+    divs = [d for d in _divisors(m) if d <= n]
+
+    memo: dict[tuple[int, int], Fraction] = {}
+
+    def f(i: int, rem: int) -> Fraction:
+        if rem == 0:
+            return Fraction(1)
+        if i == len(divs):
+            return Fraction(0)
+        key = (i, rem)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        d = divs[i]
+        total = Fraction(0)
+        coef = Fraction(1)
+        k = 0
+        while k * d <= rem:
+            if k:
+                coef /= d * k
+            w = -coef if signed and d % 2 == 0 and k % 2 == 1 else coef
+            total += w * f(i + 1, rem - k * d)
+            k += 1
+        memo[key] = total
+        return total
+
+    return f(0, n)
+
+
+def _divisor_sum_relaxed_naive(n: int, m: int) -> int:
+    """The relaxed divisor sum S-hat(n, m) by its defining triple loops."""
+    divs = [d for d in _divisors(m) if d <= n]
+    first = sum((d - 1) * (d - 2) for d in divs if d >= 3)
+    pairs = sum(
+        d2 - 1 for d2 in divs for d1 in divs if d2 >= 2 and d1 + d2 <= m
+    )
+    triples = sum(
+        1
+        for d1 in divs
+        for d2 in divs
+        for d3 in divs
+        if d1 + d2 + d3 <= m
+    )
+    return first + 3 * pairs + triples
+
+
+def prob_A_centralizer(parts: tuple[int, ...], group: str) -> Fraction:
+    """Proportion of S_n or A_n (group "S" or "A") with exactly the type ``parts``.
+
+    The proportion in S_n is the reciprocal of the centralizer order;
+    the A_n value doubles it for an even type and is 0 for an odd one.
+    """
+    if group == "A":
+        return alt_type_proportion(parts)
+    return Fraction(1, _centralizer_order(parts))
+
+
+def prob_A_rcycle(n: int, r: int, s: int, group: str) -> Fraction:
+    """Probability that g has an r-cycle and g**r has order exactly s.
+
+    The leftover n - r points form a type whose parts must divide s*r
+    and whose r-th power must have order exactly s.  For every family
+    except case 9 this forces the target type itself; in case 9 the
+    leftover six points can also form two 3-cycles, doubling the value.
+    """
+    total = Fraction(0)
+    for rest in iter_partitions(n - r):
+        if any((s * r) % d for d in rest):
+            continue
+        if lcm(*(d // gcd(d, r) for d in rest)) == s:
+            total += prob_A_centralizer(rest + (r,), group)
+    return total
 
 
 def alt_order_divides(n: int, m: int) -> Fraction:
@@ -57,12 +217,9 @@ def alt_type_proportion(parts: tuple[int, ...]) -> Fraction:
     """
     if sum(parts) < 2 or any(d < 1 for d in parts):
         raise ValueError("need positive parts summing to at least 2")
-    z = 1
-    for d, k in Counter(parts).items():
-        z *= d**k * factorial(k)
     if sum(d - 1 for d in parts) % 2:
         return Fraction(0)
-    return Fraction(2, z)
+    return Fraction(2, _centralizer_order(parts))
 
 
 def alt_cube_conditional(target: tuple[int, ...], r: int) -> Fraction:

@@ -15,7 +15,7 @@ failure.  README.md, "Known exact deviations", has the analysis.
 
 from fractions import Fraction
 
-from oracles import alt_cube_conditional
+from oracles import alt_cube_conditional, brute_force_prop
 from symprop.bounds import (
     sweep_divisor_majorant,
     sweep_prop_bound,
@@ -23,7 +23,7 @@ from symprop.bounds import (
 )
 from symprop.cli import build_parser
 from symprop.divisors import sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
-from symprop.proportions import brute_force_prop, prop_split
+from symprop.proportions import prop_split
 from symprop.recognition import admissible_degrees, admissible_n, case_params, cond_prob
 from symprop.sampler import estimate_case_event, estimate_order_divides, search_cost_sim
 

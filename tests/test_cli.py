@@ -48,6 +48,15 @@ def test_verify_shat_expected_set_is_success():
     assert "72" in out.stdout and "120" in out.stdout
 
 
+def test_verify_shat_small_range_counts_candidates():
+    # the divisor-rich candidates above m-max include 72 and 120, so both
+    # belong to the expected failure set even though m-max is below them
+    for m_max in ("50", "100"):
+        out = run("verify-shat", "--m-max", m_max)
+        assert out.returncode == 0, out.stdout
+        assert "failing m = [72, 120] (expected [72, 120])" in out.stdout
+
+
 def test_verify_thm1_window():
     out = run("verify-thm1", "--n-lo", "5", "--n-hi", "40")
     assert out.returncode == 0

@@ -16,6 +16,12 @@ which lifts the digit limit in its own process only, so the large-n
 after editing ``cli.py``: that would turn whatever the edited code prints
 into the expectation.  Add a case only by capturing it at a commit whose
 output is already trusted.
+
+One deliberate edit since: the three ``verify-shat --m-max 50`` entries
+(with the default candidates) were rewritten by hand when the expected
+failure set learned to count the candidates above m-max.  They had
+recorded exit 1 and "UNEXPECTED failure set"; they now record exit 0 with
+the direct checks of m = 72 and m = 120.
 """
 
 from __future__ import annotations
@@ -65,6 +71,9 @@ _PER_FORMAT = [
     ["sample", "--case", "10", "--n", "13", "--event", "A", "--trials", "2000", "--seed", "4"],
     ["search-sim", "--case", "1", "--n", "10", "--episodes", "200", "--seed", "3"],
     ["search-sim", "--case", "2", "--n", "13", "--episodes", "50", "--seed", "9"],
+    ["search-sim", "--case", "4", "--n", "9", "--episodes", "200", "--seed", "5"],
+    ["search-sim", "--case", "10", "--n", "13", "--episodes", "100", "--seed", "8"],
+    ["sample", "--case", "10", "--n", "13", "--event", "B", "--trials", "3000", "--seed", "6"],
 ]
 
 # Usage errors: argparse rejections and argument-validation failures.

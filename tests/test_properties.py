@@ -7,9 +7,12 @@ pass is evidence rather than self-agreement.
 
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_prop
 from symprop.divisors import (
     check_quadratic_divisor_sum,
     divisor_list,
@@ -17,7 +20,6 @@ from symprop.divisors import (
 )
 from symprop.proportions import (
     CycleType,
-    brute_force_prop,
     divisor_sum_capped,
     divisor_sum_relaxed,
     prop_alternating,
@@ -25,7 +27,8 @@ from symprop.proportions import (
     prop_order_dividing_signed,
     prop_split,
 )
-from symprop.sampler import power_order
+from symprop.recognition import CaseSpec
+from symprop.sampler import _cycle_lengths, _event_mask, power_order
 
 fractions = st.fractions(min_value=Fraction(1, 1000), max_value=1000)
 
@@ -146,3 +149,65 @@ def test_capped_below_relaxed_on_small_degrees(m, n):
 @settings(deadline=None)
 def test_caps_coincide_at_equal_arguments(m):
     assert divisor_sum_capped(m, m) == divisor_sum_relaxed(m, m)
+
+
+def _walk_cycles(perm: list[int]) -> list[list[int]]:
+    """The cycles of a permutation, found by following it point by point."""
+    seen: set[int] = set()
+    cycles = []
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        j = perm[start]
+        while j != start:
+            cycle.append(j)
+            seen.add(j)
+            j = perm[j]
+        cycles.append(cycle)
+    return cycles
+
+
+perm_batches = st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=6)
+)
+
+
+@given(perms=perm_batches)
+@settings(deadline=None, max_examples=150)
+def test_cycle_lengths_match_a_cycle_walk(perms):
+    lengths, even = _cycle_lengths(np.array(perms))
+    for row, perm, row_even in zip(lengths, perms, even):
+        cycles = _walk_cycles(perm)
+        expect = [0] * len(perm)
+        for cycle in cycles:
+            for point in cycle:
+                expect[point] = len(cycle)
+        assert row.tolist() == expect
+        assert bool(row_even) == CycleType(tuple(map(len, cycles))).is_even
+
+
+@given(perms=perm_batches, r=st.integers(1, 40), s=st.sampled_from((1, 2, 3)))
+@settings(deadline=None, max_examples=150)
+def test_event_masks_match_cycle_types(perms, r, s):
+    types = [CycleType(tuple(map(len, _walk_cycles(p)))) for p in perms]
+    spec = CaseSpec(0, len(perms[0]), r, types[0], s, "S", "")
+    lengths, _ = _cycle_lengths(np.array(perms))
+    assert _event_mask(spec, "A", lengths).tolist() == [t == types[0] for t in types]
+    assert _event_mask(spec, "B", lengths).tolist() == [power_order(t, r) == s for t in types]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 21, 200])
+def test_permuted_rows_are_successive_permutations(n):
+    # search_cost_sim draws rows in batches and counts them one by one,
+    # which reproduces one-at-a-time draws only while this numpy
+    # behaviour holds
+    k = 50
+    rows = np.random.default_rng(n).permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+    rng = np.random.default_rng(n)
+    singles = np.array([rng.permutation(n) for _ in range(k)])
+    assert np.array_equal(rows, singles), (
+        "rng.permuted(tile, axis=1) rows no longer equal successive "
+        "rng.permutation(n) draws; seeded search-sim outputs will change"
+    )

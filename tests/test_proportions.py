@@ -3,13 +3,11 @@ from math import factorial
 
 import pytest
 
+from oracles import _divisor_sum_relaxed_naive, brute_force_prop, iter_partitions
 from symprop.proportions import (
     CycleType,
-    brute_force_prop,
     divisor_sum_capped,
     divisor_sum_relaxed,
-    _divisor_sum_relaxed_naive,
-    iter_partitions,
     prop_alternating,
     prop_order_dividing,
     prop_order_dividing_signed,

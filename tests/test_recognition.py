@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import prob_A_centralizer, prob_A_rcycle
 from symprop.recognition import (
     CASE1_WEAK_NS,
     TABLE2_EXCEPTIONS,
@@ -13,8 +14,6 @@ from symprop.recognition import (
     cond_prob,
     lower_bound_for,
     prob_A,
-    prob_A_centralizer,
-    prob_A_rcycle,
     prob_B,
     prob_B_upper_bound,
     verify_theorem2,
@@ -76,7 +75,8 @@ def test_prob_a_centralizer_route():
     for cid in ALL_CASES:
         for n in admissible_degrees(cid, 8, 40):
             spec = case_params(cid, n)
-            assert prob_A(spec) == prob_A_centralizer(spec), (cid, n)
+            by_type = prob_A_centralizer(spec.cycle_type.parts, spec.calc_group)
+            assert prob_A(spec) == by_type, (cid, n)
 
 
 def test_prob_a_rcycle_route():
@@ -85,7 +85,7 @@ def test_prob_a_rcycle_route():
     for cid in ALL_CASES:
         for n in admissible_degrees(cid, 8, 36):
             spec = case_params(cid, n)
-            via_types = prob_A_rcycle(spec)
+            via_types = prob_A_rcycle(spec.n, spec.r, spec.power_order, spec.calc_group)
             factor = 2 if cid == 9 else 1
             assert via_types == factor * prob_A(spec), (cid, n)
 

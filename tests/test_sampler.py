@@ -1,11 +1,14 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from symprop.proportions import CycleType, iter_partitions
+from oracles import iter_partitions
+from symprop.proportions import CycleType
 from symprop.recognition import case_params, cond_prob, prob_A, prob_B
 from symprop.sampler import (
+    _BATCH,
     SampleStats,
     estimate_case_event,
     estimate_order_divides,
@@ -139,3 +142,20 @@ def test_search_cost_sim_deterministic(table):
     a = search_cost_sim(2, 500, n=9, seed=23, table=table)
     b = search_cost_sim(2, 500, n=9, seed=23, table=table)
     assert (a.trials, a.successes, a.b_hits) == (b.trials, b.successes, b.b_hits)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_trials(table):
+    # batches are streamed, so four times the trials may not cost four
+    # times the memory
+    small = _traced_peak(lambda: estimate_order_divides(50, 12, 2 * _BATCH, seed=1, table=table))
+    large = _traced_peak(lambda: estimate_order_divides(50, 12, 8 * _BATCH, seed=1, table=table))
+    assert large <= 1.25 * small, (small, large)
