@@ -5,8 +5,12 @@ The central claim handled here: for m >= n - 1,
     P(n, m) <= 1/n + gamma(m) * m / n**2,
 
 with gamma the three-step constant from :mod:`symprop.divisors`.  The
-sweep checks it by cross-multiplied big-integer comparison, so no
-rounding is involved anywhere.
+sweep first encloses every P(n, m) in float64 with the error bound written
+in :mod:`symprop.proportions`, and a cell passes there only when the upper
+end of its enclosure lies below the bound, itself rounded down.  Every other
+cell is decided by cross-multiplied big-integer comparison, and every
+failure is reported with exact sides.  So a pass is certified either by the
+written float bound or by exact arithmetic, and every FAIL is exact.
 
 The supporting computational step works divisor by divisor: for every
 divisor d of m lying above gamma(m)*sqrt(m), the relaxed summation must
@@ -29,15 +33,19 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .divisors import C0_CUBED, divisor_list, divisor_rich_candidates, gamma_value
 from .enclosure import Interval, cbrt_enclosure, sqrt_enclosure
 from .proportions import (
+    ENCLOSURE_COLUMNS,
     ProportionTable,
     _relaxed_evaluator,
     default_table,
     divisor_sum_capped,
+    prop_enclosure,
 )
 from .reports import BoundReport
 
@@ -76,25 +84,41 @@ def check_prop_upper_bound(
     return BoundReport("prop-upper", n, m, None, lhs, rhs, lhs <= rhs)
 
 
-def _sweep_one_m(args: tuple[int, int, int]) -> list[tuple[int, int]]:
-    m, n_first, n_last = args
-    table = ProportionTable()
-    table.ensure(m, n_last)
-    return _scan_row(table, m, n_first, n_last)
-
-
-def _scan_row(table: ProportionTable, m: int, n_first: int, n_last: int) -> list[tuple[int, int]]:
+def _scan_row(table: ProportionTable, m: int, ns: Sequence[int]) -> list[tuple[int, int]]:
     g = gamma_value(m)
     p, q = g.numerator, g.denominator
     bad = []
-    table.ensure(m, n_last)
-    for n in range(n_first, n_last + 1):
+    table.ensure(m, max(ns))
+    for n in ns:
         # P <= 1/n + g*m/n^2  <=>  C(n) * n^2 * q <= n! * (n*q + p*m)
         lhs = table.count(n, m) * n * n * q
         rhs = table.factorial(n) * (n * q + p * m)
         if lhs > rhs:
             bad.append((n, m))
     return bad
+
+
+def _undecided_cells(tasks: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, list[int]]]:
+    """For each modulus of ``tasks``, the degrees the float filter cannot pass.
+
+    A task (m, n_first, n_last) asks for n_first <= n <= n_last.  A cell
+    passes when the upper end of the enclosure of P(n, m) is at most the
+    bound (n*q + p*m) / (n*n*q), gamma(m) = p/q, rounded down: numerator and
+    denominator are exact in float64 below 2**53, the quotient is correctly
+    rounded, and one step down (nextafter) puts it below the true bound.
+    """
+    ms, first, last = (np.array(column) for column in zip(*tasks))
+    upto = int(last.max())
+    _, hi = prop_enclosure(ms.tolist(), upto)
+    gammas = [gamma_value(m) for m in ms.tolist()]
+    p = np.array([g.numerator for g in gammas])
+    q = np.array([g.denominator for g in gammas])
+    n = np.arange(1, upto + 1)[:, None]
+    num, den = n * q + p * ms, n * n * q
+    passed = (hi[1:] <= np.nextafter(num / den, -np.inf)) & (den < 2**53)
+    open_cells = (n >= first) & (n <= last) & ~passed
+    for i in np.flatnonzero(open_cells.any(axis=0)):
+        yield int(ms[i]), (np.flatnonzero(open_cells[:, i]) + 1).tolist()
 
 
 def sweep_prop_bound(
@@ -104,10 +128,12 @@ def sweep_prop_bound(
     *,
     table: ProportionTable | None = None,
     progress: Callable[[str], None] | None = None,
-    jobs: int = 1,
 ) -> list[BoundReport]:
     """Check P(n,m) <= 1/n + gamma(m)m/n^2 for n_lo <= n <= n_hi and
     n-1 <= m <= m_multiplier*n.  Returns only the failures (expected none).
+
+    The float filter decides what it can; the cells it leaves open go to
+    the exact comparison.  ``progress`` gets the count of each at the end.
     """
     if not 5 <= n_lo <= n_hi:
         raise ValueError("need 5 <= n_lo <= n_hi")
@@ -121,26 +147,23 @@ def sweep_prop_bound(
         if n_first <= n_last:
             tasks.append((m, n_first, n_last))
 
+    t = table if table is not None else default_table()
     bad_pairs: list[tuple[int, int]] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, res in enumerate(pool.map(_sweep_one_m, tasks, chunksize=16)):
-                bad_pairs.extend(res)
-                if progress is not None and (i + 1) % 200 == 0:
-                    progress(f"bound sweep: {i + 1}/{len(tasks)} rows")
-    else:
-        t = table if table is not None else default_table()
-        for i, (m, n_first, n_last) in enumerate(tasks):
-            bad_pairs.extend(_scan_row(t, m, n_first, n_last))
-            if progress is not None and (i + 1) % 200 == 0:
-                progress(f"bound sweep: {i + 1}/{len(tasks)} rows")
+    exact = 0
+    for start in range(0, len(tasks), ENCLOSURE_COLUMNS):
+        for m, ns in _undecided_cells(tasks[start : start + ENCLOSURE_COLUMNS]):
+            exact += len(ns)
+            bad_pairs.extend(_scan_row(t, m, ns))
+        if progress is not None:
+            done = min(start + ENCLOSURE_COLUMNS, len(tasks))
+            progress(f"bound sweep: {done}/{len(tasks)} rows")
+    if progress is not None:
+        cells = sum(last - first + 1 for _, first, last in tasks)
+        progress(f"bound sweep: {cells - exact} of {cells} cells decided by the float "
+                 f"filter, {exact} by exact arithmetic")
 
     bad_pairs.sort()
-    out = []
-    t = table if table is not None else default_table()
-    for n, m in bad_pairs:
-        out.append(check_prop_upper_bound(n, m, table=t))
-    return out
+    return [check_prop_upper_bound(n, m, table=t) for n, m in bad_pairs]
 
 
 def prop_upper_bound_near(n: int, m: int) -> Fraction:

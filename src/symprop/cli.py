@@ -6,10 +6,12 @@ single bound checks (bound, divisors), the large verification sweeps
 Monte-Carlo layer (sample, search-sim).
 
 Exit status: 0 when every verification in the invocation passed, 1 when
-some check failed, 2 for usage errors.  The one twist is verify-shat,
-whose sweep is KNOWN to fail exactly at m = 72 and m = 120; that exact
-failure set is the expected outcome and exits 0, while any other set
-(including no failures at all) exits 1.
+some check failed, 2 for usage errors, which are all caught while parsing
+and validating the arguments, before anything is computed.  An exception
+raised while computing is a fault and ends in a traceback.  The one twist
+is verify-shat, whose sweep is KNOWN to fail exactly at m = 72 and
+m = 120; that exact failure set is the expected outcome and exits 0,
+while any other set (including no failures at all) exits 1.
 
 Output formats: "table" renders every rational as num/den plus a
 6-significant-digit decimal, "csv" emits the per-module column
@@ -17,7 +19,9 @@ contracts with newline line endings (byte-stable across runs for equal
 arguments and seed), "json" mirrors the csv fields.  Each command builds
 its records and text lines and hands them to :func:`symprop.reports.emit`,
 the one writer of results; integers print with every digit at any size.
-Progress for long sweeps goes to stderr, never stdout.
+Progress for long sweeps goes to stderr, never stdout, and so does the
+count of cells the float filter decided in verify-thm1 and table-mode
+verify-thm2.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import argparse
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bounds import (
     EXPECTED_MAJORANT_FAILURES,
@@ -40,7 +44,8 @@ from .divisors import applicable_variants, check_divisor_count_bound, divisor_li
 from .divisors import divisor_rich_candidates, gamma_value
 from .divisors import sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
 from .proportions import ProportionTable, prop_alternating, prop_split
-from .recognition import TABLE2_EXCEPTIONS, case_params, cond_prob, verify_theorem2
+from .recognition import TABLE2_EXCEPTIONS, case_params, cond_prob, sweep_theorem2
+from .recognition import verify_theorem2
 from .reports import BoundReport, CondProbReport, cell, emit, exact, frac, value
 from .sampler import estimate_case_event, estimate_order_divides, search_cost_sim
 
@@ -142,12 +147,7 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
 
 def cmd_verify_thm1(args: argparse.Namespace) -> int:
     failures = sweep_prop_bound(
-        args.n_lo,
-        args.n_hi,
-        args.m_mult,
-        table=ProportionTable(),
-        progress=_progress,
-        jobs=args.jobs,
+        args.n_lo, args.n_hi, args.m_mult, table=ProportionTable(), progress=_progress
     )
     _emit_bounds(args, failures, head=[
         f"proportion bound, {args.n_lo} <= n <= {args.n_hi}, "
@@ -182,17 +182,31 @@ def cmd_verify_shat(args: argparse.Namespace) -> int:
 def cmd_verify_thm2(args: argparse.Namespace) -> int:
     table = ProportionTable()
     cases = [args.case] if args.case else list(range(1, 11))
-    reports = []
-    for cid in cases:
-        hi = args.n_hi or _THM2_DEFAULT_HI.get(cid, _THM2_FALLBACK_HI)
-        reports.extend(verify_theorem2(cid, args.n_lo or 1, hi, table=table,
-                                       progress=_progress))
-    failures = [r for r in reports if not r.passed]
-    # csv and json carry every degree; the table lists the failures under a summary
-    emit(args.format, CondProbReport.columns, (r.record() for r in reports), chain(
-        [f"conditional floors over cases {cases}: "
-         f"{len(reports)} degrees, {len(failures)} failures"],
-        (r.line() for r in failures)))
+    ranges = [(cid, args.n_lo or 1, args.n_hi or _THM2_DEFAULT_HI.get(cid, _THM2_FALLBACK_HI))
+              for cid in cases]
+    failures: list[CondProbReport] = []
+
+    def every_degree() -> Iterator[dict]:
+        # csv and json carry every degree, so each one is computed exactly
+        for cid, lo, hi in ranges:
+            for rep in verify_theorem2(cid, lo, hi, table=table, progress=_progress):
+                if not rep.passed:
+                    failures.append(rep)
+                yield rep.record()
+
+    def summary() -> Iterator[str]:
+        # the table lists only the failures, so the float filter may pass the rest
+        degrees = 0
+        for cid, lo, hi in ranges:
+            count, bad = sweep_theorem2(cid, lo, hi, table=table, progress=_progress)
+            degrees += count
+            failures.extend(bad)
+        yield (f"conditional floors over cases {cases}: "
+               f"{degrees} degrees, {len(failures)} failures")
+        yield from (r.line() for r in failures)
+
+    # emit iterates only the argument its format needs
+    emit(args.format, CondProbReport.columns, every_degree(), summary())
     return 0 if not failures else 1
 
 
@@ -208,9 +222,6 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if (args.m is None) == (args.case is None):
-        print("symprop sample: give exactly one of --m or --case", file=sys.stderr)
-        return 2
     table = ProportionTable()
     if args.m is not None:
         st = estimate_order_divides(
@@ -258,12 +269,56 @@ def cmd_search_sim(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
+
+
+def _family_problem(case: int, n: int) -> str | None:
+    try:
+        case_params(case, n)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Checks across arguments, run before any computation: each returns the
+# usage error to report, or None.
+def _check_bound(args: argparse.Namespace) -> str | None:
+    return "the bound needs m >= n - 1" if args.m < args.n - 1 else None
+
+
+def _check_verify_thm1(args: argparse.Namespace) -> str | None:
+    return "need --n-lo <= --n-hi" if args.n_lo > args.n_hi else None
+
+
+def _check_sample(args: argparse.Namespace) -> str | None:
+    if (args.m is None) == (args.case is None):
+        return "give exactly one of --m or --case"
+    if args.case is not None:
+        return _family_problem(args.case, args.n)
+    return "the alternating group needs n >= 2" if args.group == "A" and args.n < 2 else None
+
+
+def _check_search_sim(args: argparse.Namespace) -> str | None:
+    return _family_problem(args.case, args.n)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
         help="output format (default table)",
     )
+    positive = _int_at_least(1)
 
     parser = argparse.ArgumentParser(
         prog="symprop",
@@ -273,37 +328,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prop", parents=[common], help="proportion with order dividing m")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=positive, required=True)
     p.add_argument("--signed", action="store_true", help="parity-signed variant")
     p.set_defaults(func=cmd_prop)
 
     p = sub.add_parser("split", parents=[common], help="split by cycles of points 1,2,3")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(3), required=True)
+    p.add_argument("--m", type=positive, required=True)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("alt-prop", parents=[common], help="proportion inside A_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(2), required=True)
+    p.add_argument("--m", type=positive, required=True)
     p.set_defaults(func=cmd_alt_prop)
 
     p = sub.add_parser("bound", parents=[common], help="check the 1/n + gamma*m/n^2 bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_bound)
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--m", type=positive, required=True)
+    p.set_defaults(func=cmd_bound, check=_check_bound)
 
     p = sub.add_parser("verify-thm1", parents=[common], help="sweep the proportion bound")
-    p.add_argument("--n-lo", type=int, default=5)
+    p.add_argument("--n-lo", type=_int_at_least(5), default=5)
     p.add_argument("--n-hi", type=int, default=300)
-    p.add_argument("--m-mult", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_verify_thm1)
+    p.add_argument("--m-mult", type=positive, default=3)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect (the float filter "
+                        "leaves too little work for a process pool)")
+    p.set_defaults(func=cmd_verify_thm1, check=_check_verify_thm1)
 
     p = sub.add_parser(
         "verify-shat", parents=[common],
         help="divisor majorant sweep; failing exactly {72,120} is the expected outcome",
     )
-    p.add_argument("--m-max", type=int, default=2000)
+    p.add_argument("--m-max", type=_int_at_least(2), default=2000)
     p.add_argument("--full", action="store_true", help="sweep to m = 19020")
     p.add_argument("--no-candidates", action="store_true",
                    help="skip the divisor-rich candidates above m-max")
@@ -320,41 +377,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("divisors", parents=[common], help="divisor profile and count bounds")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.set_defaults(func=cmd_divisors)
 
     p = sub.add_parser("lemma-check", parents=[common], help="divisor lemma sweeps")
-    p.add_argument("--limit", type=int, default=1_000_000)
+    p.add_argument("--limit", type=positive, default=1_000_000)
     p.add_argument("--full", action="store_true",
                    help="extend the containment check to 11793600")
     p.add_argument("--pairs-max", type=int, default=2000)
     p.set_defaults(func=cmd_lemma_check)
 
     p = sub.add_parser("sample", parents=[common], help="Monte-Carlo frequency check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, help="order-divides event")
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--m", type=positive, help="order-divides event")
     p.add_argument("--case", type=int, choices=range(1, 11), help="family event")
     p.add_argument("--event", choices=("A", "B"), default="B")
     p.add_argument("--group", choices=("S", "A"), default="S")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=positive, default=100_000)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, check=_check_sample)
 
     p = sub.add_parser("search-sim", parents=[common], help="draw-until-target simulation")
     p.add_argument("--case", type=int, required=True, choices=range(1, 11))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--episodes", type=int, default=10_000)
+    p.add_argument("--episodes", type=positive, default=10_000)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_search_sim)
+    p.set_defaults(func=cmd_search_sim, check=_check_search_sim)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand.  Bad arguments exit 2 through argparse before any
+    computation; an error raised while computing is a fault, not a usage
+    error, and propagates with its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"symprop: {exc}", file=sys.stderr)
-        return 2
+    check = getattr(args, "check", None)
+    problem = check(args) if check is not None else None
+    if problem is not None:
+        parser.error(f"{args.subcommand}: {problem}")
+    return args.func(args)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 from typing import Callable
 
 import numpy as np
@@ -281,15 +282,17 @@ def _locate_quad_failure(n: int, b: int) -> BoundReport:
 
 
 def divisor_count_sieve(limit: int) -> np.ndarray:
-    """Array c with c[n] = d(n) for 1 <= n <= limit (c[0] = 0)."""
+    """Array c with c[n] = d(n) for 1 <= n <= limit (c[0] = 0).
+
+    Each divisor pair (i, n/i) with i <= sqrt(n) is counted once from i,
+    so i runs to sqrt(limit) only; a square n = i*i counts i once.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     counts = np.zeros(limit + 1, dtype=np.int32)
-    half = limit // 2
-    for i in range(1, half + 1):
-        counts[i::i] += 1
-    # for n > limit/2 the only divisor exceeding limit/2 is n itself
-    counts[half + 1 :] += 1
+    for i in range(1, isqrt(limit) + 1):
+        counts[i * i :: i] += 2
+        counts[i * i] -= 1
     return counts
 
 

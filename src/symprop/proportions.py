@@ -1,4 +1,4 @@
-"""Exact proportions of permutations whose order divides m.
+"""Proportions of permutations whose order divides m: exact, and float64 enclosures.
 
 Let P(n, m) be the proportion of the symmetric group S_n whose elements
 have order dividing m, equivalently whose cycle lengths all divide m.
@@ -15,9 +15,46 @@ proportion inside the alternating group:
 
     prop_alternating(n, m) = P(n, m) + Psigned(n, m)        for n >= 2.
 
-Everything here is exact.  The memo table stores integer counts
+:class:`ProportionTable` is exact.  It stores integer counts
 C(n) = n! * P(n, m) rather than fractions, so a row is built with pure
 big-integer arithmetic and a Fraction is only formed at query time.
+
+:func:`prop_enclosure` runs the recursion in float64 instead, on
+proportions, so no factorial is ever formed, for many moduli at once.  For
+A_n it carries the even and odd shares e and o of S_k, e(0) = 1, o(0) = 0:
+
+    e(k) = (sum_{d odd} e(k-d) + sum_{d even} o(k-d)) / k,
+    o(k) = (sum_{d odd} o(k-d) + sum_{d even} e(k-d)) / k,
+
+since the rest of a permutation whose cycle through the point has length d
+has the same parity iff d is odd.  The A_k proportion is 2 e(k).  Every term
+is non-negative, so nothing cancels, and the computed value v of p(n) (or
+of 2 e(n)) obeys the written bound
+
+    |v - exact| <= 4 N u v + 4 n eta,      N = n D,  provided N u <= 1/4,
+
+with u = 2**-53, eta = 2**-1074 the smallest subnormal, and D the number of
+divisors d <= n of m.  Why it holds:
+
+* Rounding.  A step adds at most D non-negative terms, in any order, and
+  divides by k, so each term passes through at most D roundings.  Unrolled,
+  p(n) is a sum of non-negative products along paths of at most n steps,
+  each perturbed by at most N factors (1 + delta), |delta| <= u, that is by
+  1 + theta with |theta| <= gamma_N = N u / (1 - N u) (Higham, *Accuracy
+  and Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1 and ch. 4).
+  Without underflow |v - p| <= gamma_N p.
+* Underflow.  p(n, m) = 1/n! underflows past n = 170 when m is a prime
+  above n.  An addition with a subnormal result is exact, and a division
+  errs by at most eta/2.  Such an error made at depth j reaches the value
+  at depth n scaled by the weight of the paths between them, which is a
+  probability (at most 1) times at most 1 + gamma_N <= 2, so underflow adds
+  at most n eta in all.
+* Solving |v - p| <= gamma_N p + n eta for p gives
+  |v - p| <= (gamma_N v + n eta) / (1 - gamma_N) <= 2 N u v + 1.5 n eta
+  when N u <= 1/4, and twice that for 2 e(n).  The written bound has a
+  spare factor of at least 4/3 in each term, which covers the roundings
+  made when it is evaluated; the enclosure's endpoints v -/+ bound are then
+  rounded outward by one step (nextafter).
 
 The module also provides the split of P(n, m) by how three marked points
 fall among the cycles, and two divisor summations S and S-hat that
@@ -32,8 +69,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .divisors import divisor_list
 
@@ -44,6 +84,9 @@ __all__ = [
     "prop_order_dividing",
     "prop_order_dividing_signed",
     "prop_alternating",
+    "prop_enclosure",
+    "float_error",
+    "ENCLOSURE_COLUMNS",
     "SplitProportions",
     "prop_split",
     "divisor_sum_capped",
@@ -96,6 +139,18 @@ class CycleType:
         return Fraction(1, self.centralizer_order())
 
 
+def _divisors_upto(m: int, n: int) -> tuple[int, ...]:
+    """The divisors d <= n of m, ascending.
+
+    Trial division up to n when n**2 < m, which is cheaper than listing
+    every divisor of a large m; otherwise a prefix of ``divisor_list``.
+    """
+    if n * n < m:
+        return tuple(d for d in range(1, n + 1) if m % d == 0)
+    divs = divisor_list(m)
+    return divs[: bisect_right(divs, n)]
+
+
 class ProportionTable:
     """Memoized rows of weighted counts C(n) = n! * P(n, m).
 
@@ -124,7 +179,7 @@ class ProportionTable:
             row = [1]
             self._rows[key] = row
         if len(row) <= upto:
-            divs = divisor_list(m)
+            divs = _divisors_upto(m, upto)
             self.factorial(upto)
             fact = self._fact
             for n in range(len(row), upto + 1):
@@ -197,6 +252,78 @@ def prop_alternating(n: int, m: int, *, table: ProportionTable | None = None) ->
     return t.prop(n, m) + t.prop(n, m, signed=True)
 
 
+# --- float64 enclosures ------------------------------------------------------
+
+UNIT_ROUNDOFF = 2.0**-53
+SMALLEST_SUBNORMAL = 2.0**-1074
+# moduli per prop_enclosure call in the sweeps: bounds each array at
+# (upto + 1) * ENCLOSURE_COLUMNS floats
+ENCLOSURE_COLUMNS = 1024
+
+
+def float_error(values: np.ndarray, depth: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The written bound 4 N u v + 4 n eta on |v - exact|, N = n D.
+
+    ``depth`` is n and ``terms`` is D (see the module docstring), or any
+    larger count; the three arrays broadcast.  Every product but the one
+    with ``values`` is exact.
+    """
+    return 4 * UNIT_ROUNDOFF * (depth * terms) * values + 4 * SMALLEST_SUBNORMAL * depth
+
+
+def _float_rows(
+    moduli: Sequence[int], upto: int, alternating: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Computed p(k) (or 2 e(k)) at [k, i] for modulus moduli[i], k <= upto,
+    and the number of divisors d <= upto of each modulus.
+
+    Step k gathers the (divisor, column) pairs with d <= k, a prefix of the
+    pairs sorted by divisor, and sums them per column with one bincount.
+    """
+    width = len(moduli)
+    divs = [_divisors_upto(m, upto) for m in moduli]
+    terms = np.array([len(ds) for ds in divs], dtype=np.int64)
+    d = np.fromiter(chain.from_iterable(divs), np.int64, int(terms.sum()))
+    col = np.repeat(np.arange(width), terms)
+    order = np.argsort(d, kind="stable")
+    d, col = d[order], col[order]
+    active = np.searchsorted(d, np.arange(upto + 1), side="right")
+    back = col - d * width  # entry [k - d, col] of a row-major array sits at k*width + back
+    shares = 2 if alternating else 1  # p alone, or the even and odd shares e, o
+    tables = np.zeros((shares, upto + 1, width))
+    tables[0, 0] = 1.0
+    flat = tables.reshape(shares, -1)
+    odd = d % 2 == 1
+    for k in range(1, upto + 1):
+        j = active[k]
+        at = k * width + back[:j]
+        if not alternating:
+            tables[0, k] = np.bincount(col[:j], flat[0, at], width) / k
+            continue
+        e, o, same = flat[0, at], flat[1, at], odd[:j]
+        tables[0, k] = np.bincount(col[:j], np.where(same, e, o), width) / k
+        tables[1, k] = np.bincount(col[:j], np.where(same, o, e), width) / k
+    return (2 * tables[0] if alternating else tables[0]), terms
+
+
+def prop_enclosure(
+    moduli: Sequence[int], upto: int, *, alternating: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 arrays lo, hi with lo <= P(k, m) <= hi, certified.
+
+    Entry [k, i] belongs to degree k <= upto and modulus moduli[i]; with
+    ``alternating`` it encloses the proportion in A_k instead (k >= 2).
+    The error bound is the one written in the module docstring.
+    """
+    if upto < 0 or any(m < 1 for m in moduli):
+        raise ValueError("need upto >= 0 and positive moduli")
+    values, terms = _float_rows(moduli, upto, alternating)
+    if upto * int(terms.max(initial=0)) * UNIT_ROUNDOFF > 0.25:
+        raise ValueError("rows too deep for the written float bound")
+    err = float_error(values, np.arange(upto + 1)[:, None], terms)
+    return np.nextafter(values - err, -np.inf), np.nextafter(values + err, np.inf)
+
+
 class SplitProportions(NamedTuple):
     """P(n, m) split by how three marked points fall among the cycles."""
 
@@ -225,7 +352,7 @@ def prop_split(n: int, m: int, *, table: ProportionTable | None = None) -> Split
     if m < 1:
         raise ValueError("m must be positive")
     t = _table(table)
-    divs = divisor_list(m)
+    divs = _divisors_upto(m, n)
     pref = Fraction(1, n * (n - 1) * (n - 2))
 
     p1 = sum(

@@ -29,7 +29,11 @@ the conditional probability is the same whether computed in S_n or in
 A_n; those cases are computed in S_n.  Cases 4, 5 and 10 are computed
 in A_n via the signed recursion.
 
-All probabilities are exact rationals.  The absolute lower bounds on
+All probabilities are exact rationals.  :func:`sweep_theorem2` passes a
+degree without them only when the float64 enclosure of P(B) (see
+:mod:`symprop.proportions`) lies below the exact threshold; every other
+degree, and every failure it reports, is computed exactly.  The absolute
+lower bounds on
 P(A | B) are 1/2 for the single-cycle families (weakening to 2/7 for
 case 1 when n divides 24), and 1/3 for the rest, except a short list
 of small degrees where 1/4, 3/10 or 3/20 is the true floor.
@@ -37,16 +41,21 @@ of small degrees where 1/4, 3/10 or 3/20 is the true floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .divisors import divisor_list, gamma_value
+from .enclosure import cbrt_enclosure
 from .proportions import (
+    ENCLOSURE_COLUMNS,
     CycleType,
     ProportionTable,
     default_table,
     prop_alternating,
+    prop_enclosure,
 )
 from .reports import BoundReport, CondProbReport
 
@@ -62,6 +71,7 @@ __all__ = [
     "lower_bound_for",
     "check_n23_bound",
     "verify_theorem2",
+    "sweep_theorem2",
     "admissible_divisor_check",
     "TABLE2_EXCEPTIONS",
     "CASE1_WEAK_NS",
@@ -285,6 +295,14 @@ def check_n23_bound(spec: CaseSpec, cond_value: Fraction) -> BoundReport:
     )
 
 
+def _exact_report(spec: CaseSpec, table: ProportionTable) -> CondProbReport:
+    """The exact conditional; it passes only if both floors hold."""
+    rep = cond_prob(spec, table=table)
+    if not check_n23_bound(spec, rep.p_A_given_B).passed:
+        rep = replace(rep, passed=False)
+    return rep
+
+
 def verify_theorem2(
     case_id: int,
     n_lo: int,
@@ -302,18 +320,79 @@ def verify_theorem2(
     out: list[CondProbReport] = []
     degrees = list(admissible_degrees(case_id, n_lo, n_hi))
     for i, n in enumerate(degrees):
-        spec = case_params(case_id, n)
-        rep = cond_prob(spec, table=t)
-        shaped = check_n23_bound(spec, rep.p_A_given_B)
-        if not shaped.passed:
-            rep = CondProbReport(
-                rep.case_id, rep.n, rep.r, rep.p_A, rep.p_B,
-                rep.p_A_given_B, rep.lower_bound, False,
-            )
-        out.append(rep)
+        out.append(_exact_report(case_params(case_id, n), t))
         if progress is not None and (i + 1) % 50 == 0:
             progress(f"case {case_id}: {i + 1}/{len(degrees)} degrees")
     return out
+
+
+def _prob_B_ceiling(spec: CaseSpec) -> Fraction:
+    """An exact T such that P(B) <= T implies that both floors hold.
+
+    P(A|B) >= floor  <=>  P(B) <= P(A)/floor.  For the n^(2/3) floor
+    base - K/n^(2/3), an upper end c >= n^(2/3) of a cube-root enclosure
+    gives the larger floor base - K/c, so clearing it clears the true one.
+    """
+    base, a, b, arg = _n23_parameters(spec)
+    shaped = base - (a + b * gamma_value(arg)) / cbrt_enclosure(spec.n**2, 6).hi
+    return prob_A(spec) / max(lower_bound_for(spec), shaped)
+
+
+def _float_passes(specs: list[CaseSpec]) -> list[bool]:
+    """Which degrees of one family the float filter certifies to pass.
+
+    P(B) is P(n, r) when s = 1 and P(n, sr) - P(n, r) otherwise, in the
+    family's computation group; the enclosure of the difference adds the
+    errors of both terms, rounded outward.
+    """
+    s, group = specs[0].power_order, specs[0].calc_group
+    moduli = [spec.r for spec in specs]
+    if s > 1:
+        moduli += [spec.order_bound for spec in specs]
+    ns = np.array([spec.n for spec in specs])
+    lo, hi = prop_enclosure(moduli, int(ns.max()), alternating=group == "A")
+    at = (ns, np.arange(len(specs)))
+    lo_b, hi_b = lo[at], hi[at]
+    if s > 1:
+        top = (ns, np.arange(len(specs), 2 * len(specs)))
+        lo_b, hi_b = (np.nextafter(lo[top] - hi_b, -np.inf),
+                      np.nextafter(hi[top] - lo_b, np.inf))
+    # Python floats, so each comparison with a Fraction is exact
+    return [low > 0 and high <= _prob_B_ceiling(spec)
+            for spec, low, high in zip(specs, lo_b.tolist(), hi_b.tolist())]
+
+
+def sweep_theorem2(
+    case_id: int,
+    n_lo: int,
+    n_hi: int,
+    *,
+    table: ProportionTable | None = None,
+    progress: Callable[[str], None] | None = None,
+) -> tuple[int, list[CondProbReport]]:
+    """The verdicts of :func:`verify_theorem2`, filter first.
+
+    Returns the number of admissible degrees in [n_lo, n_hi] and the exact
+    reports of those that fail, sorted by degree.  The float filter passes
+    what it can certify; the rest get the exact check.  ``progress`` gets
+    the count of each at the end.
+    """
+    t = table if table is not None else default_table()
+    specs = [case_params(case_id, n) for n in admissible_degrees(case_id, n_lo, n_hi)]
+    failures: list[CondProbReport] = []
+    exact = 0
+    for start in range(0, len(specs), ENCLOSURE_COLUMNS):
+        block = specs[start : start + ENCLOSURE_COLUMNS]
+        for spec, passed in zip(block, _float_passes(block)):
+            if not passed:
+                exact += 1
+                rep = _exact_report(spec, t)
+                if not rep.passed:
+                    failures.append(rep)
+    if progress is not None:
+        progress(f"case {case_id}: {len(specs) - exact} of {len(specs)} cells decided by "
+                 f"the float filter, {exact} by exact arithmetic")
+    return len(specs), failures
 
 
 def admissible_divisor_check(case_id: int, n: int) -> BoundReport:

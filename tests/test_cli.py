@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 CLI = [sys.executable, "-m", "symprop"]
 
@@ -121,3 +125,55 @@ def test_search_sim_smoke():
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["mean_within_4sigma"] == "1"
+
+
+def test_large_modulus_lists_only_small_divisors():
+    # only the divisors d <= n matter; listing every divisor of 10^14 by
+    # trial division took over a second
+    from symprop import cli
+
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(["prop", "--n", "4", "--m", "100000000000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert status == 0
+    assert out.getvalue() == "2/3 (0.666667)\n"
+
+
+def test_sample_with_a_modulus_beyond_int64():
+    out = subprocess.run(CLI + ["sample", "--n", "12", "--m", str(2**64), "--trials", "100",
+                                "--seed", "1"], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["divisors", "--n", "0"],
+    ["bound", "--n", "1", "--m", "0"],
+    ["lemma-check", "--limit", "0"],
+    ["verify-thm1", "--n-lo", "40", "--n-hi", "30"],
+    ["sample", "--n", "1", "--m", "2", "--group", "A"],
+    ["sample", "--case", "2", "--n", "10"],
+    ["search-sim", "--case", "3", "--n", "9"],
+    ["search-sim", "--case", "1", "--n", "9", "--episodes", "0"],
+    ["prop", "--n", "4", "--m", "x"],
+], ids=" ".join)
+def test_bad_arguments_are_usage_errors(argv):
+    out = run(*argv)
+    assert out.returncode == 2
+    assert out.stdout == "" and "error:" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_internal_fault_is_not_a_usage_error():
+    # a ValueError raised while computing is a fault: a traceback, not exit 2
+    code = ("import sys\n"
+            "from symprop import cli\n"
+            "def boom(*args, **kwargs):\n"
+            "    raise ValueError('injected fault')\n"
+            "cli.prop_alternating = boom\n"
+            "sys.exit(cli.main(['alt-prop', '--n', '9', '--m', '12']))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode not in (0, 2)
+    assert out.stdout == ""
+    assert "Traceback" in out.stderr and "injected fault" in out.stderr

@@ -128,6 +128,10 @@ def test_sieve_matches_sympy():
     counts = divisor_count_sieve(2_000)
     for n in (1, 2, 17, 36, 256, 360, 1024, 1999, 2000):
         assert int(counts[n]) == divisor_count(n)
+    # every n, perfect squares included, against the divisor listing
+    counts = divisor_count_sieve(10_000)
+    assert counts[0] == 0
+    assert [int(c) for c in counts[1:]] == [len(divisor_list(n)) for n in range(1, 10_001)]
 
 
 def test_count_bound_sweep_clean_small():
