@@ -18,7 +18,6 @@ from .proportions import (
     CycleType,
     ProportionTable,
     SplitProportions,
-    default_table,
     prop_alternating,
     prop_order_dividing,
     prop_order_dividing_signed,
@@ -70,7 +69,6 @@ __all__ = [
     "case_params",
     "check_prop_upper_bound",
     "cond_prob",
-    "default_table",
     "divisor_list",
     "divisor_rich_candidates",
     "estimate_order_divides",

@@ -8,9 +8,9 @@ with gamma the three-step constant from :mod:`symprop.divisors`.  The
 sweep first encloses every P(n, m) in float64 with the error bound written
 in :mod:`symprop.proportions`, and a cell passes there only when the upper
 end of its enclosure lies below the bound, itself rounded down.  Every other
-cell is decided by cross-multiplied big-integer comparison, and every
-failure is reported with exact sides.  So a pass is certified either by the
-written float bound or by exact arithmetic, and every FAIL is exact.
+cell goes to the exact check, :func:`check_prop_upper_bound`, which also
+reports every failure with exact sides.  So a pass is certified either by
+the written float bound or by exact arithmetic, and every FAIL is exact.
 
 The supporting computational step works divisor by divisor: for every
 divisor d of m lying above gamma(m)*sqrt(m), the relaxed summation must
@@ -30,7 +30,6 @@ that f(19020, c0) <= 1 anchors the large-m branch.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterator, Sequence
@@ -42,8 +41,8 @@ from .enclosure import Interval, cbrt_enclosure, sqrt_enclosure
 from .proportions import (
     ENCLOSURE_COLUMNS,
     ProportionTable,
-    _relaxed_evaluator,
-    default_table,
+    _RelaxedEvaluator,
+    _table,
     divisor_sum_capped,
     prop_enclosure,
 )
@@ -78,24 +77,9 @@ def prop_upper_bound(n: int, m: int) -> Fraction:
 def check_prop_upper_bound(
     n: int, m: int, *, table: ProportionTable | None = None
 ) -> BoundReport:
-    t = table if table is not None else default_table()
-    lhs = t.prop(n, m)
+    lhs = _table(table).prop(n, m)
     rhs = prop_upper_bound(n, m)
     return BoundReport("prop-upper", n, m, None, lhs, rhs, lhs <= rhs)
-
-
-def _scan_row(table: ProportionTable, m: int, ns: Sequence[int]) -> list[tuple[int, int]]:
-    g = gamma_value(m)
-    p, q = g.numerator, g.denominator
-    bad = []
-    table.ensure(m, max(ns))
-    for n in ns:
-        # P <= 1/n + g*m/n^2  <=>  C(n) * n^2 * q <= n! * (n*q + p*m)
-        lhs = table.count(n, m) * n * n * q
-        rhs = table.factorial(n) * (n * q + p * m)
-        if lhs > rhs:
-            bad.append((n, m))
-    return bad
 
 
 def _undecided_cells(tasks: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, list[int]]]:
@@ -147,13 +131,14 @@ def sweep_prop_bound(
         if n_first <= n_last:
             tasks.append((m, n_first, n_last))
 
-    t = table if table is not None else default_table()
-    bad_pairs: list[tuple[int, int]] = []
+    t = _table(table)
+    failures: list[BoundReport] = []
     exact = 0
     for start in range(0, len(tasks), ENCLOSURE_COLUMNS):
         for m, ns in _undecided_cells(tasks[start : start + ENCLOSURE_COLUMNS]):
             exact += len(ns)
-            bad_pairs.extend(_scan_row(t, m, ns))
+            reports = (check_prop_upper_bound(n, m, table=t) for n in ns)
+            failures.extend(r for r in reports if not r.passed)
         if progress is not None:
             done = min(start + ENCLOSURE_COLUMNS, len(tasks))
             progress(f"bound sweep: {done}/{len(tasks)} rows")
@@ -162,8 +147,8 @@ def sweep_prop_bound(
         progress(f"bound sweep: {cells - exact} of {cells} cells decided by the float "
                  f"filter, {exact} by exact arithmetic")
 
-    bad_pairs.sort()
-    return [check_prop_upper_bound(n, m, table=t) for n, m in bad_pairs]
+    failures.sort(key=lambda r: (r.n, r.m))
+    return failures
 
 
 def prop_upper_bound_near(n: int, m: int) -> Fraction:
@@ -197,11 +182,10 @@ def verify_shat_condition(m: int) -> BoundReport:
         raise ValueError("needs m >= 2")
     g = gamma_value(m)
     p, q = g.numerator, g.denominator
-    ev = _relaxed_evaluator(m)
+    ev = _RelaxedEvaluator(m)
     failing: list[int] = []
     boundary: list[int] = []
-    tight: tuple[Fraction, int] | None = None  # (lhs/rhs ratio, d)
-    checked = 0
+    tight: tuple[int, int, int] | None = None  # (lhs, rhs, d) with the largest lhs/rhs
     p2m = p * p * m
     for d in divisor_list(m):
         d2q2 = d * d * q * q
@@ -209,36 +193,24 @@ def verify_shat_condition(m: int) -> BoundReport:
             boundary.append(d)
         if d2q2 <= p2m:
             continue
-        checked += 1
         lhs = ev.value(d) * d * q
-        rhs = (d - 1) * (d - 2) * (d * q + p * m)
+        rhs = (d - 1) * (d - 2) * (d * q + p * m)  # > 0, as d > gamma*sqrt(m) >= 2*sqrt(2)
         if lhs > rhs:
             failing.append(d)
-            if tight is None or Fraction(lhs, rhs) > tight[0]:
-                tight = (Fraction(lhs, rhs), d)
-        else:
-            ratio = Fraction(lhs, rhs)
-            if tight is None or ratio > tight[0]:
-                tight = (ratio, d)
+        if tight is None or lhs * tight[1] > tight[0] * rhs:
+            tight = (lhs, rhs, d)
     notes = []
     if failing:
         notes.append("fails at d=" + ",".join(map(str, failing)))
-    elif checked == 0:
+    elif tight is None:
         notes.append("no divisor above gamma*sqrt(m)")
     if boundary:
         notes.append(
             "d == gamma*sqrt(m) at d=" + ",".join(map(str, boundary)) + " (excluded, strict)"
         )
-    if tight is not None:
-        d = tight[1]
-        lhs = Fraction(ev.value(d) * d * q)
-        rhs = Fraction((d - 1) * (d - 2) * (d * q + p * m))
-    else:
-        d = None
-        lhs = rhs = Fraction(0)
-    return BoundReport(
-        "relaxed-majorant", None, m, d, lhs, rhs, not failing, "; ".join(notes)
-    )
+    lhs, rhs, d = tight if tight is not None else (0, 0, None)
+    return BoundReport("relaxed-majorant", None, m, d, Fraction(lhs), Fraction(rhs),
+                       not failing, "; ".join(notes))
 
 
 def verify_exceptional_m(m: int) -> BoundReport:
@@ -255,26 +227,20 @@ def verify_exceptional_m(m: int) -> BoundReport:
     while n0 > 1 and (n0 - 1) * (n0 - 1) * q >= p * m:
         n0 -= 1
     failing: list[int] = []
-    tight: tuple[Fraction, int] | None = None
+    tight: tuple[int, int, int] | None = None  # (lhs, rhs, n) with the largest lhs/rhs
     for n in range(n0, m + 2):
         lhs = int(divisor_sum_capped(n, m)) * n * q
-        rhs = (n - 1) * (n - 2) * (n * q + p * m)
-        ratio = Fraction(lhs, rhs)
+        rhs = (n - 1) * (n - 2) * (n * q + p * m)  # > 0, as n >= sqrt(gamma*m) > 2
         if lhs > rhs:
             failing.append(n)
-        if tight is None or ratio > tight[0]:
-            tight = (ratio, n)
-    n_t = tight[1] if tight is not None else None
-    lhs = Fraction(int(divisor_sum_capped(n_t, m)) * n_t * q) if n_t else Fraction(0)
-    rhs = Fraction((n_t - 1) * (n_t - 2) * (n_t * q + p * m)) if n_t else Fraction(0)
+        if tight is None or lhs * tight[1] > tight[0] * rhs:
+            tight = (lhs, rhs, n)
+    lhs, rhs, n_t = tight
     witness = f"n range {n0}..{m + 1}"
     if failing:
         witness += "; fails at n=" + ",".join(map(str, failing))
-    return BoundReport("capped-majorant", n_t, m, None, lhs, rhs, not failing, witness)
-
-
-def _majorant_worker(m: int) -> tuple[int, bool]:
-    return m, verify_shat_condition(m).passed
+    return BoundReport("capped-majorant", n_t, m, None, Fraction(lhs), Fraction(rhs),
+                       not failing, witness)
 
 
 def sweep_divisor_majorant(
@@ -282,13 +248,12 @@ def sweep_divisor_majorant(
     *,
     include_candidates: bool = True,
     progress: Callable[[str], None] | None = None,
-    jobs: int = 1,
 ) -> list[BoundReport]:
     """Run the divisor-by-divisor check for 2 <= m <= m_max, plus every
     candidate from the refined divisor-count bound exceeding m_max.
 
-    Returns the failing reports; the expected failure set is
-    {72, 120} intersected with the scanned range.
+    Returns the failing reports, ascending in m; the expected failure set
+    is {72, 120} intersected with the scanned range.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -296,21 +261,12 @@ def sweep_divisor_majorant(
     if include_candidates:
         ms.extend(c for c in divisor_rich_candidates() if c > m_max)
     failures: list[BoundReport] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, (m, ok) in enumerate(pool.map(_majorant_worker, ms, chunksize=64)):
-                if not ok:
-                    failures.append(verify_shat_condition(m))
-                if progress is not None and (i + 1) % 2000 == 0:
-                    progress(f"divisor majorant: {i + 1}/{len(ms)} values of m")
-    else:
-        for i, m in enumerate(ms):
-            rep = verify_shat_condition(m)
-            if not rep.passed:
-                failures.append(rep)
-            if progress is not None and (i + 1) % 2000 == 0:
-                progress(f"divisor majorant: {i + 1}/{len(ms)} values of m")
-    failures.sort(key=lambda rep: rep.m or 0)
+    for i, m in enumerate(ms):  # ascending: the candidates all exceed m_max
+        rep = verify_shat_condition(m)
+        if not rep.passed:
+            failures.append(rep)
+        if progress is not None and (i + 1) % 2000 == 0:
+            progress(f"divisor majorant: {i + 1}/{len(ms)} values of m")
     return failures
 
 

@@ -7,11 +7,12 @@ Monte-Carlo layer (sample, search-sim).
 
 Exit status: 0 when every verification in the invocation passed, 1 when
 some check failed, 2 for usage errors, which are all caught while parsing
-and validating the arguments, before anything is computed.  An exception
-raised while computing is a fault and ends in a traceback.  The one twist
-is verify-shat, whose sweep is KNOWN to fail exactly at m = 72 and
-m = 120; that exact failure set is the expected outcome and exits 0,
-while any other set (including no failures at all) exits 1.
+and validating the arguments, before anything is computed, and 3 for a
+fault: an exception raised while computing, whose traceback goes to
+stderr.  The one twist is verify-shat, whose sweep is KNOWN to fail
+exactly at m = 72 and m = 120; that exact failure set is the expected
+outcome and exits 0, while any other set (including no failures at all)
+exits 1.
 
 Output formats: "table" renders every rational as num/den plus a
 6-significant-digit decimal, "csv" emits the per-module column
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterator, Sequence
@@ -158,10 +160,7 @@ def cmd_verify_thm1(args: argparse.Namespace) -> int:
 def cmd_verify_shat(args: argparse.Namespace) -> int:
     m_max = 19020 if args.full else args.m_max
     failures = sweep_divisor_majorant(
-        m_max,
-        include_candidates=not args.no_candidates,
-        progress=_progress,
-        jobs=args.jobs,
+        m_max, include_candidates=not args.no_candidates, progress=_progress
     )
     got = sorted(r.m for r in failures)
     # the sweep covers m <= m_max and, unless turned off, the candidates above
@@ -351,9 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-lo", type=_int_at_least(5), default=5)
     p.add_argument("--n-hi", type=int, default=300)
     p.add_argument("--m-mult", type=positive, default=3)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; has no effect (the float filter "
-                        "leaves too little work for a process pool)")
     p.set_defaults(func=cmd_verify_thm1, check=_check_verify_thm1)
 
     p = sub.add_parser(
@@ -364,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="sweep to m = 19020")
     p.add_argument("--no-candidates", action="store_true",
                    help="skip the divisor-rich candidates above m-max")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify_shat)
 
     p = sub.add_parser("verify-thm2", parents=[common], help="conditional floors per case")
@@ -409,12 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand.  Bad arguments exit 2 through argparse before any
-    computation; an error raised while computing is a fault, not a usage
-    error, and propagates with its traceback."""
+    computation; an exception raised while computing is a fault, not a usage
+    error or a failed check: its traceback goes to stderr and the status is 3."""
     parser = build_parser()
     args = parser.parse_args(argv)
     check = getattr(args, "check", None)
     problem = check(args) if check is not None else None
     if problem is not None:
         parser.error(f"{args.subcommand}: {problem}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception:
+        traceback.print_exc()
+        return 3

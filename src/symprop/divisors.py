@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import isqrt
 from typing import Callable
 
@@ -52,16 +53,9 @@ def divisor_list(n: int) -> tuple[int, ...]:
     """Ascending tuple of the positive divisors of n >= 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    small = []
-    large = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return tuple(small + large[::-1])
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    large = [n // i for i in reversed(small) if i * i != n]
+    return tuple(small + large)
 
 
 # --- the gamma step function -------------------------------------------------
@@ -243,39 +237,25 @@ def sweep_quadratic_divisor_sums(
     """Exhaustively check the quadratic divisor-sum bound for all
     1 <= a <= b <= n <= n_max.  Returns the failures (expected empty).
 
-    For each n this runs in O(n): with Q(b) the partial sum of (d-1)(d-2)
-    over divisors d <= b, the worst a for a given b is the one maximising
-    n*a - Q(a-1), and that maximum can be carried along b.
+    Only pairs of divisors a <= b of n need checking.  The left side
+    changes only where a or b crosses a divisor, while the right side
+    (b-1)(b-2) + n(b-a) grows with b and shrinks with a.  So among all
+    ranges [a, b] holding the same divisors, the one from the smallest of
+    them to the largest has the smallest right side, and a range holding
+    no divisor has sum 0 and cannot fail.  That is d(n)^2/2 pairs per n.
     """
     failures: list[BoundReport] = []
     for n in range(1, n_max + 1):
         divs = divisor_list(n)
-        idx = 0
-        q_prev = 0  # Q(b-1)
-        q_curr = 0  # Q(b)
-        best = 0  # max over a <= b of (n*a - Q(a-1))
-        for b in range(1, n + 1):
-            q_prev = q_curr
-            if idx < len(divs) and divs[idx] == b:
-                q_curr += (b - 1) * (b - 2)
-                idx += 1
-            cand = n * b - q_prev
-            if cand > best:
-                best = cand
-            # failure iff Q(b) - (b-1)(b-2) - n*b + max_a(n*a - Q(a-1)) > 0
-            if q_curr - (b - 1) * (b - 2) - n * b + best > 0:
-                failures.append(_locate_quad_failure(n, b))
+        # prefix[i] sums (d-1)(d-2) over the i smallest divisors
+        prefix = list(accumulate(((d - 1) * (d - 2) for d in divs), initial=0))
+        for j, b in enumerate(divs):
+            for i, a in enumerate(divs[: j + 1]):
+                if prefix[j + 1] - prefix[i] > (b - 1) * (b - 2) + n * (b - a):
+                    failures.append(check_quadratic_divisor_sum(n, a, b))
         if progress is not None and n % 500 == 0:
             progress(f"quadratic divisor sums: n={n}/{n_max}")
     return failures
-
-
-def _locate_quad_failure(n: int, b: int) -> BoundReport:
-    for a in range(1, b + 1):
-        rep = check_quadratic_divisor_sum(n, a, b)
-        if not rep.passed:
-            return rep
-    raise AssertionError("running-max flagged a failure but none found")
 
 
 # --- sieve sweeps ------------------------------------------------------------
@@ -296,6 +276,19 @@ def divisor_count_sieve(limit: int) -> np.ndarray:
     return counts
 
 
+# n per block of the vectorised variant checks: bounds their working memory
+SWEEP_BLOCK = 1 << 20
+
+# variant -> the n (int64) whose divisor count c fails its bound, c3 = c**3
+_VARIANT_FAILS = {
+    "half": lambda n, c, c3: c * c > 3 * n,
+    "third": lambda n, c, c3: c3 * 35 > 1536 * n,
+    "odd": lambda n, c, c3: (n % 2 == 1) & (c3 * 35 > 192 * n),
+    "no9": lambda n, c, c3: (n % 9 != 0) & (c3 * 105 > 4096 * n),
+    "odd-no9": lambda n, c, c3: (n % 2 == 1) & (n % 9 != 0) & (c3 * 105 > 512 * n),
+}
+
+
 def sweep_divisor_count_bounds(
     limit: int = 1_000_000,
     containment_limit: int | None = None,
@@ -306,36 +299,30 @@ def sweep_divisor_count_bounds(
     The refined-constant containment check (failures of the "c0" bound must
     all be listed candidates) runs up to ``containment_limit`` instead when
     given; pass 11_793_600 to cover the whole candidate range.  Returns the
-    failures across all variants, expected empty.
+    failures across all variants, expected empty.  The one sieve is read in
+    blocks of ``SWEEP_BLOCK`` integers, so only it grows with the range.
     """
     top = max(limit, containment_limit or 0)
+    hi = containment_limit if containment_limit is not None else limit
     if progress is not None:
         progress(f"sieving divisor counts to {top}")
     counts = divisor_count_sieve(top)
-    n_arr = np.arange(top + 1, dtype=np.int64)
-    c = counts.astype(np.int64)
-    c3 = c * c * c
-    failures: list[BoundReport] = []
+    bad: dict[str, list[int]] = {variant: [] for variant in _VARIANT_FAILS}
+    viol: list[int] = []  # n <= hi above the refined bound
+    for start in range(1, top + 1, SWEEP_BLOCK):
+        n = np.arange(start, min(start + SWEEP_BLOCK, top + 1), dtype=np.int64)
+        c = counts[start : start + len(n)].astype(np.int64)
+        c3 = c * c * c
+        if start <= limit:
+            for variant, fails in _VARIANT_FAILS.items():
+                bad[variant] += n[fails(n, c, c3) & (n <= limit)].tolist()
+        viol += n[(c3 * 35 > 768 * n) & (n <= hi)].tolist()
 
-    def collect(mask: np.ndarray, variant: str, hi: int) -> None:
-        bad = np.nonzero(mask[: hi + 1])[0]
-        for n in bad:
-            if n == 0:
-                continue
-            failures.append(check_divisor_count_bound(int(n), variant))
-
-    collect(c * c > 3 * n_arr, "half", limit)
-    collect(c3 * 35 > 1536 * n_arr, "third", limit)
-    collect((n_arr % 2 == 1) & (c3 * 35 > 192 * n_arr), "odd", limit)
-    collect((n_arr % 9 != 0) & (c3 * 105 > 4096 * n_arr), "no9", limit)
-    collect((n_arr % 2 == 1) & (n_arr % 9 != 0) & (c3 * 105 > 512 * n_arr), "odd-no9", limit)
-
-    hi = containment_limit if containment_limit is not None else limit
-    viol = np.nonzero((c3 * 35 > 768 * n_arr)[: hi + 1])[0]
+    failures = [check_divisor_count_bound(k, variant)
+                for variant, ns in bad.items() for k in ns]
     cand = _candidate_set()
-    stray = [int(n) for n in viol if n != 0 and int(n) not in cand]
-    for n in stray:
-        failures.append(check_divisor_count_bound(n, "c0"))
+    stray = [k for k in viol if k not in cand]
+    failures += [check_divisor_count_bound(k, "c0") for k in stray]
     if progress is not None:
         progress(
             f"checked n <= {limit} (containment to {hi}): "

@@ -69,9 +69,6 @@ class Interval:
     def __sub__(self, other: "Interval | Rat") -> "Interval":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: Rat) -> "Interval":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other: "Interval | Rat") -> "Interval":
         o = _coerce(other)
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
@@ -86,18 +83,9 @@ class Interval:
         inv = Interval(1 / o.hi, 1 / o.lo)
         return self * inv
 
-    def __rtruediv__(self, other: Rat) -> "Interval":
-        return _coerce(other) / self
-
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
     def entirely_le(self, x: Rat) -> bool:
         """True when every point of the interval is <= x."""
         return self.hi <= Fraction(x)
-
-    def entirely_ge(self, x: Rat) -> bool:
-        return self.lo >= Fraction(x)
 
 
 def _coerce(x: "Interval | Rat") -> Interval:

@@ -68,8 +68,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 from typing import NamedTuple, Sequence
 
@@ -80,7 +79,6 @@ from .divisors import divisor_list
 __all__ = [
     "CycleType",
     "ProportionTable",
-    "default_table",
     "prop_order_dividing",
     "prop_order_dividing_signed",
     "prop_alternating",
@@ -216,16 +214,9 @@ class ProportionTable:
         self._row(m, signed, upto)
 
 
-_DEFAULT_TABLE = ProportionTable()
-
-
-def default_table() -> ProportionTable:
-    """The process-wide shared memo table."""
-    return _DEFAULT_TABLE
-
-
 def _table(table: ProportionTable | None) -> ProportionTable:
-    return _DEFAULT_TABLE if table is None else table
+    """The table to use: the caller's, or a fresh one for this call alone."""
+    return ProportionTable() if table is None else table
 
 
 def prop_order_dividing(n: int, m: int, *, table: ProportionTable | None = None) -> Fraction:
@@ -433,34 +424,25 @@ class _RelaxedEvaluator:
     rest, which can only be m/2 or m: a divisor in (m/3, m] other than
     those would leave a cofactor strictly between 1 and 3.  Everything
     then reduces to prefix sums over the small divisors plus a correction
-    for m/2, with one genuinely quadratic piece (pairs of small divisors
-    summing to at most m/2) precomputed incrementally.
+    for m/2, with one genuinely quadratic piece: the ordered pairs of small
+    divisors summing to at most m/2.  It is needed only for arguments at or
+    above m/2, where every small divisor counts, so it is one number.
     """
 
-    __slots__ = ("m", "ds", "quad", "lin", "s_cap", "half", "pc")
+    __slots__ = ("m", "ds", "quad", "lin", "s_cap", "half", "half_pairs")
 
     def __init__(self, m: int) -> None:
         ds = divisor_list(m)
         self.m = m
         self.ds = ds
-        quad = [0]
-        lin = [0]
-        for d in ds:
-            quad.append(quad[-1] + (d - 1) * (d - 2))
-            lin.append(lin[-1] + (d - 1))
-        self.quad = quad
-        self.lin = lin
+        self.quad = list(accumulate(((d - 1) * (d - 2) for d in ds), initial=0))
+        self.lin = list(accumulate((d - 1 for d in ds), initial=0))
         self.s_cap = bisect_right(ds, m // 3)
         for d in ds[self.s_cap :]:
             assert d == m or 2 * d == m
         self.half = m // 2 if m % 2 == 0 else 0
         cap = m // 2
-        pc = [0] * (self.s_cap + 1)
-        for k in range(1, self.s_cap + 1):
-            x = ds[k - 1]
-            j = bisect_right(ds, cap - x, 0, k - 1)
-            pc[k] = pc[k - 1] + 2 * j + (1 if 2 * x <= cap else 0)
-        self.pc = pc
+        self.half_pairs = sum(bisect_right(ds, cap - x, 0, self.s_cap) for x in ds[: self.s_cap])
 
     def value(self, arg: int) -> int:
         ds = self.ds
@@ -473,13 +455,8 @@ class _RelaxedEvaluator:
         pairs = w * (s + h)
         if h:
             pairs += (m // 2 - 1) * (s + 1)
-        third = s**3 + 3 * h * self.pc[s]
+        third = s**3 + 3 * h * self.half_pairs  # h implies s == s_cap
         return first + 3 * pairs + third
-
-
-@lru_cache(maxsize=None)
-def _relaxed_evaluator(m: int) -> _RelaxedEvaluator:
-    return _RelaxedEvaluator(m)
 
 
 def divisor_sum_relaxed(n: int, m: int) -> Fraction:
@@ -494,4 +471,4 @@ def divisor_sum_relaxed(n: int, m: int) -> Fraction:
         raise ValueError("needs n >= 3")
     if m < 1:
         raise ValueError("m must be positive")
-    return Fraction(_relaxed_evaluator(m).value(n))
+    return Fraction(_RelaxedEvaluator(m).value(n))

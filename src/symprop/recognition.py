@@ -53,7 +53,7 @@ from .proportions import (
     ENCLOSURE_COLUMNS,
     CycleType,
     ProportionTable,
-    default_table,
+    _table,
     prop_alternating,
     prop_enclosure,
 )
@@ -191,7 +191,7 @@ def prob_A(spec: CaseSpec) -> Fraction:
 
 def prob_B(spec: CaseSpec, *, table: ProportionTable | None = None) -> Fraction:
     """Exact probability of the power condition in ``calc_group``."""
-    t = table if table is not None else default_table()
+    t = _table(table)
     n, r, s = spec.n, spec.r, spec.power_order
     if s == 1:
         if spec.calc_group == "A":
@@ -316,7 +316,7 @@ def verify_theorem2(
     Each report's pass flag requires both the absolute floor and the
     n^(2/3)-shaped floor.  Reports come back sorted by degree.
     """
-    t = table if table is not None else default_table()
+    t = _table(table)
     out: list[CondProbReport] = []
     degrees = list(admissible_degrees(case_id, n_lo, n_hi))
     for i, n in enumerate(degrees):
@@ -377,7 +377,7 @@ def sweep_theorem2(
     what it can certify; the rest get the exact check.  ``progress`` gets
     the count of each at the end.
     """
-    t = table if table is not None else default_table()
+    t = _table(table)
     specs = [case_params(case_id, n) for n in admissible_degrees(case_id, n_lo, n_hi)]
     failures: list[CondProbReport] = []
     exact = 0

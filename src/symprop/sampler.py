@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .proportions import CycleType, ProportionTable, default_table, prop_alternating
+from .proportions import CycleType, ProportionTable, _table, prop_alternating
 from .recognition import CaseSpec, case_params, cond_prob, prob_A, prob_B
 
 __all__ = [
@@ -217,7 +217,7 @@ def estimate_order_divides(
     divides = np.array([d > 0 and m % d == 0 for d in range(n + 1)])
     hits = sum(int(divides[lengths].all(axis=1).sum())
                for lengths in _sample_batches(seed, n, trials, group))
-    t = table if table is not None else default_table()
+    t = _table(table)
     target = prop_alternating(n, m, table=t) if group == "A" else t.prop(n, m)
     return SampleStats.from_counts(trials, hits, target)
 

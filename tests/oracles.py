@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial, gcd, lcm
 from typing import Iterator
 
@@ -234,3 +234,14 @@ def alt_cube_conditional(target: tuple[int, ...], r: int) -> Fraction:
     n = sum(target)
     p_b = alt_order_divides(n, 3 * r) - alt_order_divides(n, r)
     return alt_type_proportion(target) / p_b
+
+
+def quad_divisor_excess(n: int, divisor_ends: bool) -> int:
+    """The largest lhs - rhs of sum_{d | n, a <= d <= b} (d-1)(d-2) <=
+    (b-1)(b-2) + n*b - n*a, over all 1 <= a <= b <= n, or over the pairs
+    a <= b of divisors of n only when ``divisor_ends``."""
+    weight = [0] + [(d - 1) * (d - 2) if n % d == 0 else 0 for d in range(1, n + 1)]
+    prefix = list(accumulate(weight))  # prefix[k] sums the weights of d <= k
+    ends = _divisors(n) if divisor_ends else range(1, n + 1)
+    return max(prefix[b] - prefix[a - 1] - (b - 1) * (b - 2) - n * (b - a)
+               for b in ends for a in ends if a <= b)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -80,6 +82,15 @@ def test_exceptional_direct_checks():
         assert f"{m + 1}" in rep.witness
     with pytest.raises(ValueError):
         verify_exceptional_m(96)
+
+
+def test_majorant_records_are_pinned():
+    # every record, passing m included, so the tightest divisor and its
+    # sides stay pinned; the digest was taken before the check was rewritten
+    records = [r.record() for r in map(verify_shat_condition, range(2, 2001))]
+    records += [verify_exceptional_m(72).record(), verify_exceptional_m(120).record()]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "d656f0fb3766ca14c5e5c490e2ec4427e1391ed553141cb5281825376fc8f99d"
 
 
 def test_majorant_sweep_failure_set():

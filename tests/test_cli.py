@@ -165,7 +165,8 @@ def test_bad_arguments_are_usage_errors(argv):
 
 
 def test_internal_fault_is_not_a_usage_error():
-    # a ValueError raised while computing is a fault: a traceback, not exit 2
+    # a ValueError raised while computing is a fault: a traceback and exit 3,
+    # told apart from a usage error (2) and a failed check (1)
     code = ("import sys\n"
             "from symprop import cli\n"
             "def boom(*args, **kwargs):\n"
@@ -174,6 +175,6 @@ def test_internal_fault_is_not_a_usage_error():
             "sys.exit(cli.main(['alt-prop', '--n', '9', '--m', '12']))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=300)
-    assert out.returncode not in (0, 2)
+    assert out.returncode == 3
     assert out.stdout == ""
     assert "Traceback" in out.stderr and "injected fault" in out.stderr

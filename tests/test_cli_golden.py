@@ -22,6 +22,15 @@ One deliberate edit since: the three ``verify-shat --m-max 50`` entries
 failure set learned to count the candidates above m-max.  They had
 recorded exit 1 and "UNEXPECTED failure set"; they now record exit 0 with
 the direct checks of m = 72 and m = 120.
+
+A second deliberate edit: the six ``--jobs 2`` entries (``verify-thm1
+--n-lo 8 --n-hi 16 --m-mult 2 --jobs 2`` and ``verify-shat --m-max 130
+--no-candidates --jobs 2``, three formats each) were rewritten by hand
+when the process pools and the ``--jobs`` flag were deleted.  They had
+recorded exit 0 with the same bytes as the single-process runs; they now
+record exit 2 (argparse rejects the unknown flag) with empty stdout.  The
+``verify-shat --full --format json`` entry was captured before that
+change, from the single-process run.
 """
 
 from __future__ import annotations
@@ -76,6 +85,11 @@ _PER_FORMAT = [
     ["sample", "--case", "10", "--n", "13", "--event", "B", "--trials", "3000", "--seed", "6"],
 ]
 
+# Single invocations in one format only.
+_SINGLE = [
+    ["verify-shat", "--full", "--format", "json"],
+]
+
 # Usage errors: argparse rejections and argument-validation failures.
 _ERRORS = [
     [],
@@ -94,7 +108,7 @@ _ERRORS = [
     ["sample", "--n", "9", "--m", "3", "--trials", "0"],
 ]
 
-CASES = [argv + ["--format", fmt] for argv in _PER_FORMAT for fmt in FORMATS] + _ERRORS
+CASES = [argv + ["--format", fmt] for argv in _PER_FORMAT for fmt in FORMATS] + _SINGLE + _ERRORS
 
 
 def run_case(argv: list[str]) -> tuple[int, bytes]:

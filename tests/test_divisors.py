@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from sympy import divisor_count
 
+from oracles import quad_divisor_excess
 from symprop.divisors import (
     C0_CUBED,
     CUBE_CONSTANTS,
@@ -124,6 +126,14 @@ def test_quadratic_sweep_clean_small():
     assert sweep_quadratic_divisor_sums(300) == []
 
 
+def test_quadratic_sums_need_only_divisor_pairs():
+    # the sweep checks only a <= b both dividing n; over every range
+    # 1 <= a <= b <= n the largest excess of the left side is the same
+    for n in range(1, 151):
+        assert quad_divisor_excess(n, divisor_ends=False) == quad_divisor_excess(
+            n, divisor_ends=True), n
+
+
 def test_sieve_matches_sympy():
     counts = divisor_count_sieve(2_000)
     for n in (1, 2, 17, 36, 256, 360, 1024, 1999, 2000):
@@ -136,3 +146,14 @@ def test_sieve_matches_sympy():
 
 def test_count_bound_sweep_clean_small():
     assert sweep_divisor_count_bounds(20_000) == []
+
+
+def test_divisor_count_sweep_memory_is_bounded():
+    # only the int32 sieve grows with the range; the checks run over blocks
+    tracemalloc.start()
+    try:
+        assert sweep_divisor_count_bounds(1_000_000, containment_limit=4_000_000) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 4_000_000 < 20, f"{peak / 4_000_000:.1f} bytes per integer"
