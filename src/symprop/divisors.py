@@ -50,12 +50,30 @@ __all__ = [
 
 @cache
 def divisor_list(n: int) -> tuple[int, ...]:
-    """Ascending tuple of the positive divisors of n >= 1."""
+    """Ascending tuple of the positive divisors of n >= 1.
+
+    n is factored by trial division over a shrinking cofactor: the trials
+    stop once the trial divisor's square exceeds what is left of n, so the
+    cost is set by n's largest prime factors, not by n (2**64 takes 64
+    halvings).  A large prime n still costs sqrt(n) trials.  The divisors
+    are then generated from the factorization and sorted.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
-    large = [n // i for i in reversed(small) if i * i != n]
-    return tuple(small + large)
+    divs = [1]
+    rest = n
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            power = [1]
+            while rest % p == 0:
+                rest //= p
+                power.append(power[-1] * p)
+            divs = [d * q for d in divs for q in power]
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        divs += [d * rest for d in divs]
+    return tuple(sorted(divs))
 
 
 # --- the gamma step function -------------------------------------------------

@@ -8,28 +8,28 @@ recursion
     P(n, m) = (1/n) * sum_{d | m, d <= n} P(n - d, m),      P(r, m) = 1 for r <= 0,
 
 because a cycle of length d through the point can be completed in
-(n-1)!/(n-d)! ways.  The signed variant attaches the sign of the
-permutation, which multiplies each d-cycle by (-1)**(d-1); adding the two
-and halving nothing (the normalisation is by n! throughout) yields the
-proportion inside the alternating group:
-
-    prop_alternating(n, m) = P(n, m) + Psigned(n, m)        for n >= 2.
-
-:class:`ProportionTable` is exact.  It stores integer counts
-C(n) = n! * P(n, m) rather than fractions, so a row is built with pure
-big-integer arithmetic and a Fraction is only formed at query time.
-
-:func:`prop_enclosure` runs the recursion in float64 instead, on
-proportions, so no factorial is ever formed, for many moduli at once.  For
-A_n it carries the even and odd shares e and o of S_k, e(0) = 1, o(0) = 0:
+(n-1)!/(n-d)! ways.  Splitting S_k into its even and odd permutations, with
+shares e(k) + o(k) = P(k, m), e(0) = 1, o(0) = 0, gives
 
     e(k) = (sum_{d odd} e(k-d) + sum_{d even} o(k-d)) / k,
     o(k) = (sum_{d odd} o(k-d) + sum_{d even} e(k-d)) / k,
 
 since the rest of a permutation whose cycle through the point has length d
-has the same parity iff d is odd.  The A_k proportion is 2 e(k).  Every term
-is non-negative, so nothing cancels, and the computed value v of p(n) (or
-of 2 e(n)) obeys the written bound
+has the same parity iff d is odd.  The proportion inside A_k is 2 e(k)
+(k >= 2), and the signed proportion, each permutation weighted by its sign,
+is e(k) - o(k).  Every term of both recursions is non-negative.
+
+:class:`ProportionTable` is exact.  It runs the recursions on integers
+scaled by L!, for the last degree L of a row: F(j) = L! P(j, m) and
+E(j) = L! e(j).  Each step is a sum of at most D big integers, D the number
+of divisors d <= j of m, and one division by the small integer j, which is
+exact because j F(j) = L! j P(j, m) is the sum and F(j) = (L!/j!) j! P(j, m)
+is an integer (j! P(j, m) counts permutations).  A Fraction is formed only
+at query time.
+
+:func:`prop_enclosure` runs the same recursions in float64, on proportions,
+so no factorial is ever formed, for many moduli at once.  Nothing cancels,
+and the computed value v of p(n) (or of 2 e(n)) obeys the written bound
 
     |v - exact| <= 4 N u v + 4 n eta,      N = n D,  provided N u <= 1/4,
 
@@ -69,8 +69,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import lcm
-from typing import NamedTuple, Sequence
+from math import factorial, lcm, prod
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,50 +150,100 @@ def _divisors_upto(m: int, n: int) -> tuple[int, ...]:
     return divs[: bisect_right(divs, n)]
 
 
+def _offset_sum(offsets: list[int]) -> Callable[[list[int]], int]:
+    """The function summing row[k] over the offsets k."""
+    if not offsets:
+        return lambda row: 0
+    if len(offsets) == 1:
+        (k,) = offsets
+        return lambda row: row[k]
+    get = itemgetter(*offsets)
+    return lambda row: sum(get(row))
+
+
 class ProportionTable:
-    """Memoized rows of weighted counts C(n) = n! * P(n, m).
+    """Exact rows of the recursion, scaled by a factorial; one row kept.
 
-    One row per (m, signed) pair.  The recursion in integer counts is
+    The row for modulus m holds the integers F(j) = L! * P(j, m) for
+    0 <= j <= L, L being its last degree:
 
-        C(n) = sum_{d | m, d <= n} (n-1)!/(n-d)! * C(n-d),   C(0) = 1,
+        F(0) = L!,      F(j) = (sum_{d | m, d <= j} F(j - d)) // j.
 
-    with the factor (-1)**(d-1) inserted in signed rows.  Rows grow on
-    demand and are never trimmed.
+    The division is exact: the sum is L! * j * P(j, m) = j * F(j), and
+    F(j) = (L!/j!) * C(j) is an integer, C(j) = j! P(j, m) being a count of
+    permutations.  A step costs one big-integer addition per divisor and one
+    division by the small integer j.  A parity row adds the even share
+    E(j) = L! e(j) of the module docstring; with the odd share O = F - E,
+
+        E(j) = (sum_{d odd} E(j - d) + sum_{d even} O(j - d)) // j,
+
+    exact for the same reason, and the signed value is (E - O)/L! = (2E - F)/L!.
+
+    Only the row built last is kept, for one (m, parity) pair.  A parity row
+    also answers plain queries, and for odd m a plain row serves signed
+    queries too, as every permutation whose order divides m is even.  A
+    request for the kept row beyond L rescales every entry by L'!/L! with
+    L' = max(n, 2L) and extends the row to L', so a run of growing requests
+    rescales O(log n) times.  Any other request replaces the row.
+
+    ``prop`` forms one Fraction F(n)/L!.  ``count`` divides F(n) by L!/n!,
+    which it derives from the last degree it read, so reads in ascending
+    (or descending) order cost one small factor each.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[tuple[int, bool], list[int]] = {}
-        self._fact: list[int] = [1]
+        self._m = 0  # modulus of the kept row; 0 while there is none
+        self._parity = False
+        self._scale = 1  # L!, L being the last degree of the kept row
+        self._rows: list[list[int]] = []  # [F], or [F, E] for a parity row
+        self._down = (0, 1)  # (k, L!/k!) for the last degree k read by count
 
-    def factorial(self, n: int) -> int:
-        f = self._fact
-        while len(f) <= n:
-            f.append(f[-1] * len(f))
-        return f[n]
+    def _grow(self, m: int, parity: bool, upto: int) -> None:
+        """Replace or extend the kept row so that it covers degree upto for m."""
+        if m < 1:
+            raise ValueError("m must be positive")
+        parity = parity and m % 2 == 0  # an odd m admits only even permutations
+        if m != self._m or (parity and not self._parity):
+            self._m, self._parity, self._scale, self._down = m, parity, 1, (0, 1)
+            self._rows = [[1], [1]] if parity else [[1]]
+        rows = self._rows
+        start = len(rows[0])
+        if upto < start:
+            return
+        top = max(upto, 2 * (start - 1))
+        scale = factorial(top)
+        ratio = scale // self._scale
+        rows[:] = [[x * ratio for x in row] for row in rows]
+        self._scale, self._down = scale, (top, 1)
+        # F(j - d) is f[-d] while f has j entries; the divisors d <= j only
+        # change at j = d, so each stretch of degrees between two divisors
+        # sums over one fixed list of offsets
+        divs = _divisors_upto(m, top)
+        ends = divs[1:] + (top + 1,)
+        if self._parity:
+            f, e = rows
+            odd: list[int] = []
+            even: list[int] = []
+            for d, end in zip(divs, ends):
+                (odd if d % 2 else even).append(-d)
+                at_odd, at_even = _offset_sum(odd), _offset_sum(even)
+                for j in range(max(start, d), end):
+                    flip = at_even(f)
+                    e.append((at_odd(e) - at_even(e) + flip) // j)
+                    f.append((at_odd(f) + flip) // j)
+        else:
+            (f,) = rows
+            back: list[int] = []
+            for d, end in zip(divs, ends):
+                back.append(-d)
+                total = _offset_sum(back)
+                for j in range(max(start, d), end):
+                    f.append(total(f) // j)
 
-    def _row(self, m: int, signed: bool, upto: int) -> list[int]:
-        key = (m, signed)
-        row = self._rows.get(key)
-        if row is None:
-            row = [1]
-            self._rows[key] = row
-        if len(row) <= upto:
-            divs = _divisors_upto(m, upto)
-            self.factorial(upto)
-            fact = self._fact
-            for n in range(len(row), upto + 1):
-                fn1 = fact[n - 1]
-                total = 0
-                for d in divs:
-                    if d > n:
-                        break
-                    term = (fn1 // fact[n - d]) * row[n - d]
-                    if signed and d % 2 == 0:
-                        total -= term
-                    else:
-                        total += term
-                row.append(total)
-        return row
+    def _value(self, n: int, signed: bool) -> int:
+        """L! times the (signed) proportion at degree n, off the kept rows."""
+        f = self._rows[0][n]
+        return 2 * self._rows[1][n] - f if signed and self._parity else f
 
     def count(self, n: int, m: int, signed: bool = False) -> int:
         """The weighted count C(n) itself (n! times the proportion)."""
@@ -200,18 +251,23 @@ class ProportionTable:
             raise ValueError("m must be positive")
         if n < 0:
             raise ValueError("count is defined for n >= 0")
-        return self._row(m, signed, n)[n]
+        self._grow(m, signed, n)
+        # L!/n! from the last one by a few small factors when reads run in order
+        k, q = self._down
+        q = q // prod(range(k + 1, n + 1)) if n >= k else q * prod(range(n + 1, k + 1))
+        self._down = (n, q)
+        return self._value(n, signed) // q
 
     def prop(self, n: int, m: int, signed: bool = False) -> Fraction:
         if m < 1:
             raise ValueError("m must be positive")
         if n <= 0:
             return Fraction(1)
-        row = self._row(m, signed, n)
-        return Fraction(row[n], self.factorial(n))
+        self._grow(m, signed, n)
+        return Fraction(self._value(n, signed), self._scale)
 
     def ensure(self, m: int, upto: int, signed: bool = False) -> None:
-        self._row(m, signed, upto)
+        self._grow(m, signed, upto)
 
 
 def _table(table: ProportionTable | None) -> ProportionTable:
@@ -235,12 +291,13 @@ def prop_alternating(n: int, m: int, *, table: ProportionTable | None = None) ->
     """Proportion of A_n whose element orders divide m; needs n >= 2.
 
     Averaging 1 + sign(g) over S_n keeps exactly the even permutations,
-    at twice their weight, hence the sum of the plain and signed values.
+    at twice their weight: the plain and signed counts add up to twice the
+    even count, n! * 2 e(n), read off one parity row.
     """
     if n < 2:
         raise ValueError("alternating-group proportion needs n >= 2")
     t = _table(table)
-    return t.prop(n, m) + t.prop(n, m, signed=True)
+    return Fraction(t.count(n, m, signed=True) + t.count(n, m), factorial(n))
 
 
 # --- float64 enclosures ------------------------------------------------------
@@ -343,13 +400,11 @@ def prop_split(n: int, m: int, *, table: ProportionTable | None = None) -> Split
     if m < 1:
         raise ValueError("m must be positive")
     t = _table(table)
+    t.ensure(m, n - 3)  # the parts read P(j, m) for j <= n - 3, off the kept row
+    row, scale = t._rows[0], t._scale
     divs = _divisors_upto(m, n)
-    pref = Fraction(1, n * (n - 1) * (n - 2))
 
-    p1 = sum(
-        (((d - 1) * (d - 2)) * t.prop(n - d, m) for d in divs if 3 <= d <= n),
-        Fraction(0),
-    )
+    p1 = sum(((d - 1) * (d - 2)) * row[n - d] for d in divs if d >= 3)
 
     pair_weight: Counter[int] = Counter()
     pair_count: Counter[int] = Counter()
@@ -361,7 +416,7 @@ def prop_split(n: int, m: int, *, table: ProportionTable | None = None) -> Split
             pair_count[s] += 1
             if d2 >= 2:
                 pair_weight[s] += d2 - 1
-    p2 = sum((w * t.prop(n - s, m) for s, w in sorted(pair_weight.items())), Fraction(0))
+    p2 = sum(w * row[n - s] for s, w in pair_weight.items())
 
     triple_weight: Counter[int] = Counter()
     for s2, cnt in pair_count.items():
@@ -370,9 +425,10 @@ def prop_split(n: int, m: int, *, table: ProportionTable | None = None) -> Split
             if s > n:
                 break
             triple_weight[s] += cnt
-    p3 = sum((w * t.prop(n - s, m) for s, w in sorted(triple_weight.items())), Fraction(0))
+    p3 = sum(w * row[n - s] for s, w in triple_weight.items())
 
-    return SplitProportions(pref * p1, 3 * pref * p2, pref * p3)
+    den = n * (n - 1) * (n - 2) * scale
+    return SplitProportions(Fraction(p1, den), Fraction(3 * p2, den), Fraction(p3, den))
 
 
 # --- the two majorizing divisor summations -----------------------------------

@@ -27,7 +27,7 @@ For cases 6 to 9 the conditioning event B consists of even
 permutations only (every cycle length divides 3r, which is odd), so
 the conditional probability is the same whether computed in S_n or in
 A_n; those cases are computed in S_n.  Cases 4, 5 and 10 are computed
-in A_n via the signed recursion.
+in A_n, from the share of even permutations.
 
 All probabilities are exact rationals.  :func:`sweep_theorem2` passes a
 degree without them only when the float64 enclosure of P(B) (see

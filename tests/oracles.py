@@ -20,12 +20,18 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Iterator
 
 
 def _divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def divisors_by_trial(n: int) -> tuple[int, ...]:
+    """The divisors of n >= 1, ascending, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
 
 def _centralizer_order(parts: tuple[int, ...]) -> int:

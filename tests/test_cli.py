@@ -141,6 +141,20 @@ def test_large_modulus_lists_only_small_divisors():
     assert out.getvalue() == "2/3 (0.666667)\n"
 
 
+def test_divisors_of_two_to_the_64_finish_quickly():
+    # divisor_list factors n before listing; trial division up to sqrt(2**64)
+    # did not finish
+    from symprop import cli
+
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(["divisors", "--n", str(2**64)])
+    assert time.perf_counter() - t0 < 1.0
+    assert status == 0
+    assert out.getvalue().startswith(f"n={2**64} d(n)=65 ")
+
+
 def test_sample_with_a_modulus_beyond_int64():
     out = subprocess.run(CLI + ["sample", "--n", "12", "--m", str(2**64), "--trials", "100",
                                 "--seed", "1"], capture_output=True, text=True, timeout=60)

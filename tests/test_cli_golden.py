@@ -31,6 +31,11 @@ recorded exit 0 with the same bytes as the single-process runs; they now
 record exit 2 (argparse rejects the unknown flag) with empty stdout.  The
 ``verify-shat --full --format json`` entry was captured before that
 change, from the single-process run.
+
+The last four ``_SINGLE`` entries (a signed ``prop``, an ``alt-prop``, a
+``split`` and the family-10 ``verify-thm2`` csv that holds the exact FAILs
+at n = 37 and n = 85) were captured before the exact row kernel of
+``proportions.py`` moved to rows scaled by N!, from the code it replaced.
 """
 
 from __future__ import annotations
@@ -88,6 +93,10 @@ _PER_FORMAT = [
 # Single invocations in one format only.
 _SINGLE = [
     ["verify-shat", "--full", "--format", "json"],
+    ["prop", "--n", "300", "--m", "60", "--signed", "--format", "csv"],
+    ["alt-prop", "--n", "400", "--m", "360", "--format", "json"],
+    ["split", "--n", "120", "--m", "720", "--format", "csv"],
+    ["verify-thm2", "--case", "10", "--n-hi", "120", "--format", "csv"],
 ]
 
 # Usage errors: argparse rejections and argument-validation failures.

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from sympy import divisor_count
 
-from oracles import quad_divisor_excess
+from oracles import divisors_by_trial, quad_divisor_excess
 from symprop.divisors import (
     C0_CUBED,
     CUBE_CONSTANTS,
@@ -35,6 +35,12 @@ def test_divisor_list_invariants():
         assert list(ds) == sorted(set(ds))
         assert ds[0] == 1 and ds[-1] == n
         assert all(n % d == 0 for d in ds)
+
+
+def test_divisor_list_matches_trial_division():
+    # divisor_list factors n first; the oracle tries every d <= sqrt(n)
+    for n in range(1, 20_001):
+        assert divisor_list(n) == divisors_by_trial(n), n
 
 
 def test_gamma_value_thresholds():

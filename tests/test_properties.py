@@ -6,6 +6,8 @@ pass is evidence rather than self-agreement.
 """
 
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from symprop.divisors import (
 )
 from symprop.proportions import (
     CycleType,
+    ProportionTable,
     divisor_sum_capped,
     divisor_sum_relaxed,
     prop_alternating,
@@ -196,6 +199,48 @@ def test_event_masks_match_cycle_types(perms, r, s):
     lengths, _ = _cycle_lengths(np.array(perms))
     assert _event_mask(spec, "A", lengths).tolist() == [t == types[0] for t in types]
     assert _event_mask(spec, "B", lengths).tolist() == [power_order(t, r) == s for t in types]
+
+
+@cache
+def _oracle(n: int, m: int, signed: bool) -> Fraction:
+    return Fraction(1) if n <= 0 else brute_force_prop(n, m, mode="partitions", signed=signed)
+
+
+_QUERY_KINDS = ("prop", "signed", "count", "count-signed", "alt")
+_queries = st.lists(
+    st.tuples(st.sampled_from(_QUERY_KINDS), st.integers(0, 60),
+              st.sampled_from([1, 2, 3, 4, 7, 12, 30, 60, 360])),
+    min_size=1, max_size=12,
+)
+
+
+def _ask(table: ProportionTable, kind: str, n: int, m: int) -> Fraction | int:
+    if kind == "alt":
+        return prop_alternating(n, m, table=table)
+    if kind.startswith("count"):
+        return table.count(n, m, signed=kind == "count-signed")
+    return table.prop(n, m, signed=kind == "signed")
+
+
+@given(queries=_queries)
+@settings(max_examples=80, deadline=None)
+def test_table_answers_do_not_depend_on_query_order(queries):
+    # one shared table sees growth (same modulus, higher degree), eviction
+    # (another modulus or a parity row) and rescaling; each answer must
+    # equal a fresh table's and the partition oracle's
+    shared = ProportionTable()
+    for kind, n, m in queries:
+        if kind == "alt":
+            n = max(n, 2)
+        got = _ask(shared, kind, n, m)
+        assert got == _ask(ProportionTable(), kind, n, m)
+        if kind == "alt":
+            want = _oracle(n, m, False) + _oracle(n, m, True)
+        else:
+            want = _oracle(n, m, kind in ("signed", "count-signed"))
+        if kind.startswith("count"):
+            want *= factorial(n)
+        assert got == want, (kind, n, m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 21, 200])

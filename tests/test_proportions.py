@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +7,7 @@ import pytest
 from oracles import _divisor_sum_relaxed_naive, brute_force_prop, iter_partitions
 from symprop.proportions import (
     CycleType,
+    ProportionTable,
     divisor_sum_capped,
     divisor_sum_relaxed,
     prop_alternating,
@@ -13,6 +15,7 @@ from symprop.proportions import (
     prop_order_dividing_signed,
     prop_split,
 )
+from symprop.recognition import verify_theorem2
 
 
 def test_cycle_type_basics():
@@ -196,3 +199,18 @@ def test_brute_force_prop_guards():
         brute_force_prop(61, 3, mode="partitions")
     with pytest.raises(ValueError):
         brute_force_prop(5, 3, mode="nonsense")
+
+
+def test_theorem2_sweep_on_one_table_keeps_one_row():
+    # every family's degrees on one shared table: only the row built last
+    # is kept, so the peak stays near one row's size (a table that kept
+    # every row peaked at about 6.8 MB on this sweep)
+    table = ProportionTable()
+    tracemalloc.start()
+    try:
+        for case_id in range(1, 11):
+            verify_theorem2(case_id, 1, 250, table=table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MB"
