@@ -30,9 +30,11 @@ that f(19020, c0) <= 1 anchors the large-m branch.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,9 +43,9 @@ from .enclosure import Interval, cbrt_enclosure, sqrt_enclosure
 from .proportions import (
     ENCLOSURE_COLUMNS,
     ProportionTable,
+    _arrangement_weights,
     _RelaxedEvaluator,
     _table,
-    divisor_sum_capped,
     prop_enclosure,
 )
 from .reports import BoundReport
@@ -55,6 +57,7 @@ __all__ = [
     "prop_upper_bound_near",
     "verify_shat_condition",
     "verify_exceptional_m",
+    "majorant_moduli",
     "sweep_divisor_majorant",
     "excess_ratio_bound",
     "check_excess_threshold",
@@ -162,6 +165,20 @@ def prop_upper_bound_near(n: int, m: int) -> Fraction:
 # --- the divisor-by-divisor computational step -------------------------------
 
 
+def _tightest(sides: Iterable[tuple[int, int, int]]
+              ) -> tuple[list[int], tuple[int, int, int] | None]:
+    """For instances (lhs, rhs, x) of lhs <= rhs, rhs > 0: the x that fail,
+    and the first instance with the largest lhs/rhs (None when there is none)."""
+    failing: list[int] = []
+    tight: tuple[int, int, int] | None = None
+    for lhs, rhs, x in sides:
+        if lhs > rhs:
+            failing.append(x)
+        if tight is None or lhs * tight[1] > tight[0] * rhs:
+            tight = (lhs, rhs, x)
+    return failing, tight
+
+
 def verify_shat_condition(m: int) -> BoundReport:
     """Check, for every divisor d of m with d > gamma(m) * sqrt(m), that
 
@@ -183,22 +200,14 @@ def verify_shat_condition(m: int) -> BoundReport:
     g = gamma_value(m)
     p, q = g.numerator, g.denominator
     ev = _RelaxedEvaluator(m)
-    failing: list[int] = []
-    boundary: list[int] = []
-    tight: tuple[int, int, int] | None = None  # (lhs, rhs, d) with the largest lhs/rhs
-    p2m = p * p * m
-    for d in divisor_list(m):
-        d2q2 = d * d * q * q
-        if d2q2 == p2m:
-            boundary.append(d)
-        if d2q2 <= p2m:
-            continue
-        lhs = ev.value(d) * d * q
-        rhs = (d - 1) * (d - 2) * (d * q + p * m)  # > 0, as d > gamma*sqrt(m) >= 2*sqrt(2)
-        if lhs > rhs:
-            failing.append(d)
-        if tight is None or lhs * tight[1] > tight[0] * rhs:
-            tight = (lhs, rhs, d)
+    divs, p2m = divisor_list(m), p * p * m
+    # d*q > sqrt(p2m) iff d*q > isqrt(p2m), so the qualifying divisors are a
+    # suffix, and only the divisor just below it can sit on the threshold
+    first = bisect_right(divs, isqrt(p2m) // q)
+    boundary = [d for d in divs[first - 1 : first] if d * d * q * q == p2m]
+    # rhs > 0, as d > gamma*sqrt(m) >= 2*sqrt(2)
+    failing, tight = _tightest([(ev.value(d) * d * q, (d - 1) * (d - 2) * (d * q + p * m), d)
+                                for d in divs[first:]])
     notes = []
     if failing:
         notes.append("fails at d=" + ",".join(map(str, failing)))
@@ -221,26 +230,29 @@ def verify_exceptional_m(m: int) -> BoundReport:
         raise ValueError("direct check applies to m = 72 and m = 120 only")
     g = gamma_value(m)
     p, q = g.numerator, g.denominator
-    n0 = isqrt(p * m // q)
-    while n0 * n0 * q < p * m:
-        n0 += 1
-    while n0 > 1 and (n0 - 1) * (n0 - 1) * q >= p * m:
-        n0 -= 1
-    failing: list[int] = []
-    tight: tuple[int, int, int] | None = None  # (lhs, rhs, n) with the largest lhs/rhs
-    for n in range(n0, m + 2):
-        lhs = int(divisor_sum_capped(n, m)) * n * q
-        rhs = (n - 1) * (n - 2) * (n * q + p * m)  # > 0, as n >= sqrt(gamma*m) > 2
-        if lhs > rhs:
-            failing.append(n)
-        if tight is None or lhs * tight[1] > tight[0] * rhs:
-            tight = (lhs, rhs, n)
-    lhs, rhs, n_t = tight
+    n0 = isqrt(-(-p * m // q) - 1) + 1  # the least n with n*n >= ceil(p*m/q)
+    # the weights at n = m + 1 give S_capped(n, m) for every n as a prefix sum
+    one, two, three = _arrangement_weights(divisor_list(m), m + 1)
+    capped = list(accumulate(a + 3 * b + c for a, b, c in zip(one, two, three)))
+    # rhs > 0, as n >= sqrt(gamma*m) > 2
+    failing, (lhs, rhs, n_t) = _tightest(
+        (capped[n] * n * q, (n - 1) * (n - 2) * (n * q + p * m), n) for n in range(n0, m + 2))
     witness = f"n range {n0}..{m + 1}"
     if failing:
         witness += "; fails at n=" + ",".join(map(str, failing))
     return BoundReport("capped-majorant", n_t, m, None, Fraction(lhs), Fraction(rhs),
                        not failing, witness)
+
+
+def majorant_moduli(m_max: int, include_candidates: bool = True) -> list[int]:
+    """The m the divisor majorant sweep visits, ascending: 2 <= m <= m_max,
+    then, when asked, every refined divisor-count candidate above m_max."""
+    if m_max < 2:
+        raise ValueError("m_max must be >= 2")
+    ms = list(range(2, m_max + 1))
+    if include_candidates:
+        ms.extend(c for c in divisor_rich_candidates() if c > m_max)
+    return ms
 
 
 def sweep_divisor_majorant(
@@ -249,19 +261,15 @@ def sweep_divisor_majorant(
     include_candidates: bool = True,
     progress: Callable[[str], None] | None = None,
 ) -> list[BoundReport]:
-    """Run the divisor-by-divisor check for 2 <= m <= m_max, plus every
-    candidate from the refined divisor-count bound exceeding m_max.
+    """Run the divisor-by-divisor check over ``majorant_moduli(m_max,
+    include_candidates)``.
 
     Returns the failing reports, ascending in m; the expected failure set
-    is {72, 120} intersected with the scanned range.
+    is EXPECTED_MAJORANT_FAILURES intersected with those moduli.
     """
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
-    ms: list[int] = list(range(2, m_max + 1))
-    if include_candidates:
-        ms.extend(c for c in divisor_rich_candidates() if c > m_max)
+    ms = majorant_moduli(m_max, include_candidates)
     failures: list[BoundReport] = []
-    for i, m in enumerate(ms):  # ascending: the candidates all exceed m_max
+    for i, m in enumerate(ms):
         rep = verify_shat_condition(m)
         if not rep.passed:
             failures.append(rep)

@@ -37,14 +37,14 @@ from typing import Callable, Iterator, Sequence
 from .bounds import (
     EXPECTED_MAJORANT_FAILURES,
     check_prop_upper_bound,
+    majorant_moduli,
     prop_upper_bound_near,
     sweep_divisor_majorant,
     sweep_prop_bound,
     verify_exceptional_m,
 )
 from .divisors import applicable_variants, check_divisor_count_bound, divisor_list
-from .divisors import divisor_rich_candidates, gamma_value
-from .divisors import sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
+from .divisors import gamma_value, sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
 from .proportions import ProportionTable, prop_alternating, prop_split
 from .recognition import TABLE2_EXCEPTIONS, case_params, cond_prob, sweep_theorem2
 from .recognition import verify_theorem2
@@ -159,13 +159,13 @@ def cmd_verify_thm1(args: argparse.Namespace) -> int:
 
 def cmd_verify_shat(args: argparse.Namespace) -> int:
     m_max = 19020 if args.full else args.m_max
+    with_candidates = not args.no_candidates
     failures = sweep_divisor_majorant(
-        m_max, include_candidates=not args.no_candidates, progress=_progress
+        m_max, include_candidates=with_candidates, progress=_progress
     )
     got = sorted(r.m for r in failures)
-    # the sweep covers m <= m_max and, unless turned off, the candidates above
-    candidates = () if args.no_candidates else divisor_rich_candidates()
-    expected = sorted(m for m in EXPECTED_MAJORANT_FAILURES if m <= m_max or m in candidates)
+    expected = sorted(EXPECTED_MAJORANT_FAILURES.intersection(
+        majorant_moduli(m_max, with_candidates)))
     direct = [verify_exceptional_m(m) for m in expected]
     as_expected = got == expected and all(r.passed for r in direct)
     _emit_bounds(
@@ -299,6 +299,11 @@ def _check_verify_thm1(args: argparse.Namespace) -> str | None:
     return "need --n-lo <= --n-hi" if args.n_lo > args.n_hi else None
 
 
+def _check_verify_thm2(args: argparse.Namespace) -> str | None:
+    both = args.n_lo is not None and args.n_hi is not None
+    return _check_verify_thm1(args) if both else None
+
+
 def _check_sample(args: argparse.Namespace) -> str | None:
     if (args.m is None) == (args.case is None):
         return "give exactly one of --m or --case"
@@ -366,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", type=int, choices=range(1, 11))
     p.add_argument("--n-lo", type=int)
     p.add_argument("--n-hi", type=int)
-    p.set_defaults(func=cmd_verify_thm2)
+    p.set_defaults(func=cmd_verify_thm2, check=_check_verify_thm2)
 
     p = sub.add_parser("table2", parents=[common], help="the exceptional floor rows")
     p.set_defaults(func=cmd_table2)
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=positive, default=1_000_000)
     p.add_argument("--full", action="store_true",
                    help="extend the containment check to 11793600")
-    p.add_argument("--pairs-max", type=int, default=2000)
+    p.add_argument("--pairs-max", type=positive, default=2000)
     p.set_defaults(func=cmd_lemma_check)
 
     p = sub.add_parser("sample", parents=[common], help="Monte-Carlo frequency check")

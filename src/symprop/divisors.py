@@ -4,16 +4,20 @@ The number of divisors d(n) grows slower than any power of n, but the
 verification work in this package needs completely explicit constants.
 The bounds handled here all have the shape
 
-    d(n) <= C * n**(1/3)        (or C * n**(1/2)),
+    d(n) <= C * n**(1/k),      k = 3 (or 2),
 
-with C an exact cube root (or square root) of a rational.  Every check is
-performed by clearing the root: ``d(n)**3 * denom <= num * n``.  No floats
-are involved, so a reported pass is a proof for that n.
+with C**k rational.  ``COUNT_BOUNDS`` holds each of them once: variant ->
+(k, C**k, the n it covers).  Every check clears the root,
+``d(n)**k * den <= num * n`` for C**k = num/den, so no floats are involved
+and a reported pass is a proof for that n.  The one-n check and the sieve
+sweep both read that table.
 
 Also provided: the step function ``gamma_value`` used by the proportion bounds,
 the per-prime factors ``(alpha+1)/p**(alpha/3)`` that drive the cube-root
 constants, the explicit finite set of candidate exceptions to the refined
-bound, and a quadratic divisor-sum inequality.
+bound, a quadratic divisor-sum inequality, and the module's one primality
+test, :func:`is_prime`: Miller-Rabin on the first 13 primes, which is exact
+below 3.3e24, and trial division above that.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ __all__ = [
     "gamma_value",
     "peak_exponent",
     "divisor_ratio_factor",
+    "is_prime",
+    "COUNT_BOUNDS",
     "CUBE_CONSTANTS",
     "C0_CUBED",
-    "COUNT_BOUND_VARIANTS",
     "applicable_variants",
     "check_divisor_count_bound",
     "divisor_rich_candidates",
@@ -55,14 +60,18 @@ def divisor_list(n: int) -> tuple[int, ...]:
     n is factored by trial division over a shrinking cofactor: the trials
     stop once the trial divisor's square exceeds what is left of n, so the
     cost is set by n's largest prime factors, not by n (2**64 takes 64
-    halvings).  A large prime n still costs sqrt(n) trials.  The divisors
-    are then generated from the factorization and sorted.
+    halvings).  Once the trials pass 2**16, each new cofactor is tested
+    once with :func:`is_prime`, so a large prime cofactor ends them at
+    once; a product of two large primes still costs trials up to the
+    smaller one.  The divisors are then generated from the factorization
+    and sorted.
     """
     if n < 1:
         raise ValueError("n must be positive")
     divs = [1]
     rest = n
     p = 2
+    tested = False  # whether rest has been through is_prime
     while p * p <= rest:
         if rest % p == 0:
             power = [1]
@@ -70,6 +79,11 @@ def divisor_list(n: int) -> tuple[int, ...]:
                 rest //= p
                 power.append(power[-1] * p)
             divs = [d * q for d in divs for q in power]
+            tested = False
+        elif p > _TRIAL_ONLY_BELOW and not tested:
+            if is_prime(rest):
+                break
+            tested = True
         p += 1 if p == 2 else 2
     if rest > 1:
         divs += [d * rest for d in divs]
@@ -97,18 +111,28 @@ def gamma_value(m: int) -> Fraction:
 # --- cube-root divisor-count bounds ------------------------------------------
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+_TRIAL_ONLY_BELOW = 1 << 16  # divisor_list calls is_prime past this trial divisor
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _WITNESSES (Sorenson and Webster 2015)
+_WITNESSES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime: Miller-Rabin on the first 13 primes as bases,
+    exact for n below 3.3e24, and trial division to sqrt(n) above that."""
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    i = 3
-    while i * i <= p:
-        if p % i == 0:
+    for w in _WITNESSES:
+        if n % w == 0:
+            return n == w
+    if n >= _WITNESSES_EXACT_BELOW:
+        return all(n % i for i in range(_WITNESSES[-1] + 2, isqrt(n) + 1, 2))
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2**twos
+    odd = (n - 1) >> twos
+    for w in _WITNESSES:
+        x = pow(w, odd, n)
+        if x != 1 and all(pow(x, 2**i, n) != n - 1 for i in range(twos)):
             return False
-        i += 2
     return True
 
 
@@ -136,62 +160,47 @@ def divisor_ratio_factor(p: int, alpha: int, digits: int = 30) -> Interval:
     return cbrt_enclosure(Fraction((alpha + 1) ** 3, p**alpha), digits)
 
 
-# Cubes of the constants C in d(n) <= C * n**(1/3), keyed by variant.
-CUBE_CONSTANTS: dict[str, Fraction] = {
-    "third": Fraction(1536, 35),  # all n
-    "odd": Fraction(192, 35),  # odd n
-    "no9": Fraction(4096, 105),  # 9 does not divide n
-    "odd-no9": Fraction(512, 105),  # odd n, 9 does not divide n
-    "c0": Fraction(768, 35),  # all n outside the candidate set below
+# variant -> (k, C**k, covers): d(n)**k <= C**k * n for every n that covers
+# accepts, an int or an int64 array.  "c0" is the refined constant, kept by
+# every n outside the candidate set below.
+COUNT_BOUNDS: dict[str, tuple[int, Fraction, Callable]] = {
+    "half": (2, Fraction(3), lambda n: n > 0),
+    "third": (3, Fraction(1536, 35), lambda n: n > 0),
+    "odd": (3, Fraction(192, 35), lambda n: n % 2 == 1),
+    "no9": (3, Fraction(4096, 105), lambda n: n % 9 != 0),
+    "odd-no9": (3, Fraction(512, 105), lambda n: (n % 2 == 1) & (n % 9 != 0)),
+    "c0": (3, Fraction(768, 35), lambda n: n > 0),
 }
-
+CUBE_CONSTANTS = {v: c_k for v, (k, c_k, _) in COUNT_BOUNDS.items() if k == 3}
 C0_CUBED = CUBE_CONSTANTS["c0"]
-
-COUNT_BOUND_VARIANTS = ("half", "third", "odd", "no9", "odd-no9", "c0")
 
 
 def applicable_variants(n: int) -> tuple[str, ...]:
-    out = ["half", "third"]
-    if n % 2 == 1:
-        out.append("odd")
-    if n % 9 != 0:
-        out.append("no9")
-    if n % 2 == 1 and n % 9 != 0:
-        out.append("odd-no9")
-    out.append("c0")
-    return tuple(out)
+    return tuple(v for v, (_, _, covers) in COUNT_BOUNDS.items() if covers(n))
 
 
 def check_divisor_count_bound(n: int, variant: str) -> BoundReport:
     """Check d(n) against the growth bound selected by ``variant``.
 
-    Variants: "half" checks d(n)^2 <= 3n; "third", "odd", "no9" and
-    "odd-no9" check d(n)^3 <= C^3 * n with the matching cube constant;
-    "c0" checks the refined constant and treats membership in the
-    explicit candidate set as a pass (the bound promises nothing there).
-    Parity-restricted variants raise ValueError when n does not qualify.
+    The variant's entry in ``COUNT_BOUNDS`` gives the check d(n)**k <= C**k n;
+    "c0" treats membership in the explicit candidate set as a pass (the
+    bound promises nothing there).  A variant that does not cover n, such as
+    "odd" at even n, raises ValueError.
     """
     d = len(divisor_list(n))
-    if variant == "half":
-        lhs, rhs = Fraction(d * d), Fraction(3 * n)
-        return BoundReport("divcount-half", n, None, d, lhs, rhs, lhs <= rhs)
-    if variant not in CUBE_CONSTANTS:
+    if variant not in COUNT_BOUNDS:
         raise ValueError(f"unknown variant: {variant!r}")
-    if variant in ("odd", "odd-no9") and n % 2 == 0:
-        raise ValueError(f"variant {variant!r} needs odd n")
-    if variant in ("no9", "odd-no9") and n % 9 == 0:
-        raise ValueError(f"variant {variant!r} needs n not divisible by 9")
-    cube = CUBE_CONSTANTS[variant]
-    lhs = Fraction(d**3)
-    rhs = cube * n
+    k, c_k, covers = COUNT_BOUNDS[variant]
+    if not covers(n):
+        raise ValueError(f"variant {variant!r} does not cover n = {n}")
+    lhs = Fraction(d**k)
+    rhs = c_k * n
     ok = lhs <= rhs
     witness = ""
     if variant == "c0" and not ok:
-        if is_divisor_rich_candidate(n):
-            ok = True
-            witness = "listed candidate exception"
-        else:
-            witness = "bound fails and n is not a listed candidate"
+        ok = is_divisor_rich_candidate(n)
+        witness = ("listed candidate exception" if ok
+                   else "bound fails and n is not a listed candidate")
     return BoundReport(f"divcount-{variant}", n, None, d, lhs, rhs, ok, witness)
 
 
@@ -297,15 +306,6 @@ def divisor_count_sieve(limit: int) -> np.ndarray:
 # n per block of the vectorised variant checks: bounds their working memory
 SWEEP_BLOCK = 1 << 20
 
-# variant -> the n (int64) whose divisor count c fails its bound, c3 = c**3
-_VARIANT_FAILS = {
-    "half": lambda n, c, c3: c * c > 3 * n,
-    "third": lambda n, c, c3: c3 * 35 > 1536 * n,
-    "odd": lambda n, c, c3: (n % 2 == 1) & (c3 * 35 > 192 * n),
-    "no9": lambda n, c, c3: (n % 9 != 0) & (c3 * 105 > 4096 * n),
-    "odd-no9": lambda n, c, c3: (n % 2 == 1) & (n % 9 != 0) & (c3 * 105 > 512 * n),
-}
-
 
 def sweep_divisor_count_bounds(
     limit: int = 1_000_000,
@@ -325,21 +325,20 @@ def sweep_divisor_count_bounds(
     if progress is not None:
         progress(f"sieving divisor counts to {top}")
     counts = divisor_count_sieve(top)
-    bad: dict[str, list[int]] = {variant: [] for variant in _VARIANT_FAILS}
-    viol: list[int] = []  # n <= hi above the refined bound
+    upto = {variant: hi if variant == "c0" else limit for variant in COUNT_BOUNDS}
+    above: dict[str, list[int]] = {variant: [] for variant in COUNT_BOUNDS}
     for start in range(1, top + 1, SWEEP_BLOCK):
         n = np.arange(start, min(start + SWEEP_BLOCK, top + 1), dtype=np.int64)
         c = counts[start : start + len(n)].astype(np.int64)
-        c3 = c * c * c
-        if start <= limit:
-            for variant, fails in _VARIANT_FAILS.items():
-                bad[variant] += n[fails(n, c, c3) & (n <= limit)].tolist()
-        viol += n[(c3 * 35 > 768 * n) & (n <= hi)].tolist()
+        for variant, (k, c_k, covers) in COUNT_BOUNDS.items():
+            if start <= upto[variant]:
+                fails = covers(n) & (c**k * c_k.denominator > c_k.numerator * n)
+                above[variant] += n[fails & (n <= upto[variant])].tolist()
 
+    viol = above.pop("c0")  # n <= hi above the refined bound
+    stray = [k for k in viol if not is_divisor_rich_candidate(k)]
     failures = [check_divisor_count_bound(k, variant)
-                for variant, ns in bad.items() for k in ns]
-    cand = _candidate_set()
-    stray = [k for k in viol if k not in cand]
+                for variant, ns in above.items() for k in ns]
     failures += [check_divisor_count_bound(k, "c0") for k in stray]
     if progress is not None:
         progress(

@@ -58,8 +58,11 @@ divisors d <= n of m.  Why it holds:
 
 The module also provides the split of P(n, m) by how three marked points
 fall among the cycles, and two divisor summations S and S-hat that
-majorize n(n-1)(n-2) times cycle-count contributions.  The brute-force
-oracles these are tested against live in ``tests/oracles.py``.
+majorize n(n-1)(n-2) times cycle-count contributions.  The split weighs each
+P(n - s, m) by the ways the cycles through the three points can have total
+length s; S(n, m) is that split with every P set to 1, so the two read one
+weight table.  The brute-force oracles these are tested against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -384,6 +387,31 @@ class SplitProportions(NamedTuple):
         return self.one_cycle + self.two_cycles + self.three_cycles
 
 
+def _arrangement_weights(divs: Sequence[int], n: int) -> tuple[list[int], list[int], list[int]]:
+    """Weights, indexed by s <= n, of the ways three marked points can lie on
+    cycles of total length s, the lengths drawn from the ascending ``divs``:
+
+      one cycle:    (d-1)(d-2) at s = d,
+      two cycles:   d2-1 for each ordered pair with d1 + d2 = s,
+      three cycles: 1 for each ordered triple with d1 + d2 + d3 = s.
+    """
+    one, two, three, pairs = ([0] * (n + 1) for _ in range(4))
+    for d2 in divs:
+        if d2 > n:
+            break
+        one[d2] = (d2 - 1) * (d2 - 2)
+        for d1 in divs:
+            s = d1 + d2
+            if s > n:
+                break
+            pairs[s] += 1
+            two[s] += d2 - 1
+    for d3 in divs:
+        for s in range(d3 + 2, n + 1):
+            three[s] += pairs[s - d3]
+    return one, two, three
+
+
 def prop_split(n: int, m: int, *, table: ProportionTable | None = None) -> SplitProportions:
     """Split P(n, m) by the cycle arrangement of three marked points.
 
@@ -400,33 +428,10 @@ def prop_split(n: int, m: int, *, table: ProportionTable | None = None) -> Split
     if m < 1:
         raise ValueError("m must be positive")
     t = _table(table)
-    t.ensure(m, n - 3)  # the parts read P(j, m) for j <= n - 3, off the kept row
+    t.ensure(m, n - 3)  # every weight sits at s >= 3, so the parts read P(j, m), j <= n - 3
     row, scale = t._rows[0], t._scale
-    divs = _divisors_upto(m, n)
-
-    p1 = sum(((d - 1) * (d - 2)) * row[n - d] for d in divs if d >= 3)
-
-    pair_weight: Counter[int] = Counter()
-    pair_count: Counter[int] = Counter()
-    for d2 in divs:
-        for d1 in divs:
-            s = d1 + d2
-            if s > n:
-                break
-            pair_count[s] += 1
-            if d2 >= 2:
-                pair_weight[s] += d2 - 1
-    p2 = sum(w * row[n - s] for s, w in pair_weight.items())
-
-    triple_weight: Counter[int] = Counter()
-    for s2, cnt in pair_count.items():
-        for d3 in divs:
-            s = s2 + d3
-            if s > n:
-                break
-            triple_weight[s] += cnt
-    p3 = sum(w * row[n - s] for s, w in triple_weight.items())
-
+    p1, p2, p3 = (sum(w * row[n - s] for s, w in enumerate(weights) if w)
+                  for weights in _arrangement_weights(_divisors_upto(m, n), n))
     den = n * (n - 1) * (n - 2) * scale
     return SplitProportions(Fraction(p1, den), Fraction(3 * p2, den), Fraction(p3, den))
 
@@ -441,34 +446,13 @@ def divisor_sum_capped(n: int, m: int) -> Fraction:
              + 3 * sum_{d1,d2|m, 2<=d2, d1+d2<=n} (d2-1)
              + #{(d1,d2,d3): di|m, d1+d2+d3 <= n}         (ordered tuples).
 
-    (n-3)!/n! times this majorizes P(n, m); needs n >= 3.
+    It is :func:`prop_split` with every P(n - s, m) set to 1, times n!/(n-3)!,
+    so (n-3)!/n! times it majorizes P(n, m); needs n >= 3.
     """
     if n < 3:
         raise ValueError("needs n >= 3")
-    divs = divisor_list(m)
-    first = sum((d - 1) * (d - 2) for d in divs if 3 <= d <= n)
-    pairs = 0
-    for d2 in divs:
-        if d2 < 2:
-            continue
-        if d2 + 1 > n:
-            break
-        for d1 in divs:
-            if d1 + d2 > n:
-                break
-            pairs += d2 - 1
-    triples = 0
-    for d1 in divs:
-        if d1 + 2 > n:
-            break
-        for d2 in divs:
-            if d1 + d2 + 1 > n:
-                break
-            for d3 in divs:
-                if d1 + d2 + d3 > n:
-                    break
-                triples += 1
-    return Fraction(first + 3 * pairs + triples)
+    one, two, three = _arrangement_weights(_divisors_upto(m, n), n)
+    return Fraction(sum(one) + 3 * sum(two) + sum(three))
 
 
 class _RelaxedEvaluator:

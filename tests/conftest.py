@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from symprop.proportions import ProportionTable
+
+# pytest imports the package from src (see pyproject.toml); the CLI tests
+# that start a subprocess get the same tree through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="module")

@@ -34,6 +34,11 @@ def divisors_by_trial(n: int) -> tuple[int, ...]:
     return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
 
+def is_prime_by_trial(n: int) -> bool:
+    """Whether n is prime, by trial division up to sqrt(n)."""
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def _centralizer_order(parts: tuple[int, ...]) -> int:
     z = 1
     for d, k in Counter(parts).items():
@@ -138,20 +143,14 @@ def _partition_dp(n: int, m: int, signed: bool) -> Fraction:
     return f(0, n)
 
 
-def _divisor_sum_relaxed_naive(n: int, m: int) -> int:
-    """The relaxed divisor sum S-hat(n, m) by its defining triple loops."""
-    divs = [d for d in _divisors(m) if d <= n]
-    first = sum((d - 1) * (d - 2) for d in divs if d >= 3)
-    pairs = sum(
-        d2 - 1 for d2 in divs for d1 in divs if d2 >= 2 and d1 + d2 <= m
-    )
-    triples = sum(
-        1
-        for d1 in divs
-        for d2 in divs
-        for d3 in divs
-        if d1 + d2 + d3 <= m
-    )
+def divisor_sum_naive(n: int, m: int, cap: int) -> int:
+    """A divisor sum by its defining triple loops: divisors d <= n of m, with
+    pair and triple sums at most ``cap``.  cap = n gives the capped sum
+    S(n, m), cap = m the relaxed sum S-hat(n, m)."""
+    ds = [d for d in _divisors(m) if d <= n]
+    first = sum((d - 1) * (d - 2) for d in ds if d >= 3)
+    pairs = sum(d2 - 1 for d2 in ds for d1 in ds if d2 >= 2 and d1 + d2 <= cap)
+    triples = sum(1 for d1 in ds for d2 in ds for d3 in ds if d1 + d2 + d3 <= cap)
     return first + 3 * pairs + triples
 
 

@@ -155,6 +155,20 @@ def test_divisors_of_two_to_the_64_finish_quickly():
     assert out.getvalue().startswith(f"n={2**64} d(n)=65 ")
 
 
+def test_divisors_of_a_large_prime_finish_quickly():
+    # trial division up to sqrt(2**61 - 1) did not finish; the cofactor is
+    # now tested for primality once the trials pass 2**16
+    from symprop import cli
+
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(["divisors", "--n", str(2**61 - 1)])
+    assert time.perf_counter() - t0 < 1.0
+    assert status == 0
+    assert out.getvalue().startswith(f"n={2**61 - 1} d(n)=2 divisors=1,{2**61 - 1} ")
+
+
 def test_sample_with_a_modulus_beyond_int64():
     out = subprocess.run(CLI + ["sample", "--n", "12", "--m", str(2**64), "--trials", "100",
                                 "--seed", "1"], capture_output=True, text=True, timeout=60)
@@ -166,6 +180,8 @@ def test_sample_with_a_modulus_beyond_int64():
     ["bound", "--n", "1", "--m", "0"],
     ["lemma-check", "--limit", "0"],
     ["verify-thm1", "--n-lo", "40", "--n-hi", "30"],
+    ["verify-thm2", "--n-lo", "500", "--n-hi", "400"],
+    ["lemma-check", "--pairs-max", "-3"],
     ["sample", "--n", "1", "--m", "2", "--group", "A"],
     ["sample", "--case", "2", "--n", "10"],
     ["search-sim", "--case", "3", "--n", "9"],

@@ -1,10 +1,14 @@
+import hashlib
+import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from sympy import divisor_count
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import divisor_count, isprime
 
-from oracles import divisors_by_trial, quad_divisor_excess
+from oracles import divisors_by_trial, is_prime_by_trial, quad_divisor_excess
 from symprop.divisors import (
     C0_CUBED,
     CUBE_CONSTANTS,
@@ -17,6 +21,7 @@ from symprop.divisors import (
     divisor_rich_candidates,
     gamma_value,
     is_divisor_rich_candidate,
+    is_prime,
     peak_exponent,
     sweep_divisor_count_bounds,
     sweep_quadratic_divisor_sums,
@@ -41,6 +46,34 @@ def test_divisor_list_matches_trial_division():
     # divisor_list factors n first; the oracle tries every d <= sqrt(n)
     for n in range(1, 20_001):
         assert divisor_list(n) == divisors_by_trial(n), n
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 100_001):
+        assert is_prime(n) == is_prime_by_trial(n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=3_317_044_064_679_887_385_961_980))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == isprime(n)
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first k prime bases, k = 1..12,
+    # each of them composite
+    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+              3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+              318_665_857_834_031_151_167_461):
+        assert not is_prime(n), n
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+
+
+def test_divisor_list_tests_each_new_cofactor():
+    # a factor found past 2**16 trials leaves a new cofactor, tested afresh
+    p = 2**61 - 1
+    assert divisor_list(65537 * p) == (1, 65537, p, 65537 * p)
+    assert divisor_list(65539**2 * p) == (1, 65539, 65539**2, p, 65539 * p, 65539**2 * p)
 
 
 def test_gamma_value_thresholds():
@@ -163,3 +196,25 @@ def test_divisor_count_sweep_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak / 4_000_000 < 20, f"{peak / 4_000_000:.1f} bytes per integer"
+
+
+def test_count_bound_records_are_pinned():
+    # every record of every variant that applies to n <= 5000; the digest
+    # was taken before the bounds were gathered into one table
+    records = [check_divisor_count_bound(n, v).record()
+               for n in range(1, 5001) for v in applicable_variants(n)]
+    assert len(records) == 24_167
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "003f54934bc4af80583a10da915522e912f5cce5141f2ea34379b37739af5f3b"
+
+
+def test_count_bound_sweep_is_pinned():
+    # the return value and the progress lines, captured with the records above
+    lines: list[str] = []
+    failures = sweep_divisor_count_bounds(20_000, containment_limit=200_000,
+                                          progress=lines.append)
+    digest = hashlib.sha256(json.dumps(
+        {"failures": [r.record() for r in failures], "progress": lines},
+        sort_keys=True).encode()).hexdigest()
+    assert digest == "8ee7f6300fc71aa87ee3c9cc060b621c4db2110b088fd44e9e96cd9ae1c210b0"
+    assert lines[-1].endswith("78 refined-bound violations all listed")

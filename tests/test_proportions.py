@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from oracles import _divisor_sum_relaxed_naive, brute_force_prop, iter_partitions
+from oracles import brute_force_prop, divisor_sum_naive, iter_partitions
 from symprop.proportions import (
     CycleType,
     ProportionTable,
@@ -142,7 +142,7 @@ def test_recursion_vs_partition_oracle(table):
 
 def test_divisor_sum_relaxed_vs_naive():
     for n, m in ((10, 10), (12, 24), (25, 24), (17, 16), (30, 60)):
-        assert divisor_sum_relaxed(n, m) == _divisor_sum_relaxed_naive(n, m)
+        assert divisor_sum_relaxed(n, m) == divisor_sum_naive(n, m, m)
 
 
 def test_divisor_sum_capped_below_relaxed():
@@ -157,29 +157,11 @@ def test_divisor_sum_relaxed_m1():
         assert divisor_sum_relaxed(n, 1) == 0
 
 
-def test_capped_sum_brute(table):
+def test_capped_sum_brute():
     # S(n,m) against a direct triple loop over ordered divisor triples
-    def naive(n, m):
-        from symprop.divisors import divisor_list
-
-        ds = [d for d in divisor_list(m) if d <= n]
-        tot = 0
-        for d1 in ds:
-            if 3 <= d1:
-                tot += (d1 - 1) * (d1 - 2)
-        for d1 in ds:
-            for d2 in ds:
-                if 2 <= d2 and d1 + d2 <= n:
-                    tot += 3 * (d2 - 1)
-        for d1 in ds:
-            for d2 in ds:
-                for d3 in ds:
-                    if d1 + d2 + d3 <= n:
-                        tot += 1
-        return tot
-
-    for n, m in ((6, 6), (10, 10), (12, 6), (9, 12), (20, 19)):
-        assert divisor_sum_capped(n, m) == naive(n, m)
+    for m in range(1, 61):
+        for n in range(3, 41):
+            assert divisor_sum_capped(n, m) == divisor_sum_naive(n, m, n), (n, m)
 
 
 def test_table_rows_are_immutable_views(table):
