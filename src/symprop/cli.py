@@ -46,8 +46,8 @@ from .bounds import (
 from .divisors import applicable_variants, check_divisor_count_bound, divisor_list
 from .divisors import gamma_value, sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
 from .proportions import ProportionTable, prop_alternating, prop_split
-from .recognition import TABLE2_EXCEPTIONS, case_params, cond_prob, sweep_theorem2
-from .recognition import verify_theorem2
+from .recognition import TABLE2_EXCEPTIONS, _inadmissible, case_params, cond_prob
+from .recognition import sweep_theorem2, verify_theorem2
 from .reports import BoundReport, CondProbReport, cell, emit, exact, frac, value
 from .sampler import estimate_case_event, estimate_order_divides, search_cost_sim
 
@@ -178,11 +178,17 @@ def cmd_verify_shat(args: argparse.Namespace) -> int:
     return 0 if as_expected else 1
 
 
+def _thm2_windows(args: argparse.Namespace) -> list[tuple[int, int, int]]:
+    """(case, n_lo, n_hi) of each selected case, unset ends taking their defaults."""
+    cases = [args.case] if args.case else range(1, 11)
+    return [(cid, args.n_lo or 1, args.n_hi or _THM2_DEFAULT_HI.get(cid, _THM2_FALLBACK_HI))
+            for cid in cases]
+
+
 def cmd_verify_thm2(args: argparse.Namespace) -> int:
     table = ProportionTable()
-    cases = [args.case] if args.case else list(range(1, 11))
-    ranges = [(cid, args.n_lo or 1, args.n_hi or _THM2_DEFAULT_HI.get(cid, _THM2_FALLBACK_HI))
-              for cid in cases]
+    ranges = _thm2_windows(args)
+    cases = [cid for cid, _, _ in ranges]
     failures: list[CondProbReport] = []
 
     def every_degree() -> Iterator[dict]:
@@ -281,14 +287,6 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-def _family_problem(case: int, n: int) -> str | None:
-    try:
-        case_params(case, n)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 # Checks across arguments, run before any computation: each returns the
 # usage error to report, or None.
 def _check_bound(args: argparse.Namespace) -> str | None:
@@ -300,20 +298,20 @@ def _check_verify_thm1(args: argparse.Namespace) -> str | None:
 
 
 def _check_verify_thm2(args: argparse.Namespace) -> str | None:
-    both = args.n_lo is not None and args.n_hi is not None
-    return _check_verify_thm1(args) if both else None
+    empty = [f"case {cid} ends at n = {hi}" for cid, lo, hi in _thm2_windows(args) if lo > hi]
+    return f"need --n-lo <= --n-hi: {empty[0]}" if empty else None
 
 
 def _check_sample(args: argparse.Namespace) -> str | None:
     if (args.m is None) == (args.case is None):
         return "give exactly one of --m or --case"
     if args.case is not None:
-        return _family_problem(args.case, args.n)
+        return _inadmissible(args.case, args.n)
     return "the alternating group needs n >= 2" if args.group == "A" and args.n < 2 else None
 
 
 def _check_search_sim(args: argparse.Namespace) -> str | None:
-    return _family_problem(args.case, args.n)
+    return _inadmissible(args.case, args.n)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,15 +17,16 @@ the per-prime factors ``(alpha+1)/p**(alpha/3)`` that drive the cube-root
 constants, the explicit finite set of candidate exceptions to the refined
 bound, a quadratic divisor-sum inequality, and the module's one primality
 test, :func:`is_prime`: Miller-Rabin on the first 13 primes, which is exact
-below 3.3e24, and trial division above that.
+below 3.3e24, and trial division above that for what it does not reject.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
-from math import isqrt
+from itertools import accumulate, count
+from math import gcd, isqrt
 from typing import Callable
 
 import numpy as np
@@ -60,34 +61,66 @@ def divisor_list(n: int) -> tuple[int, ...]:
     n is factored by trial division over a shrinking cofactor: the trials
     stop once the trial divisor's square exceeds what is left of n, so the
     cost is set by n's largest prime factors, not by n (2**64 takes 64
-    halvings).  Once the trials pass 2**16, each new cofactor is tested
-    once with :func:`is_prime`, so a large prime cofactor ends them at
-    once; a product of two large primes still costs trials up to the
-    smaller one.  The divisors are then generated from the factorization
-    and sorted.
+    halvings).  A cofactor still left when the trials pass 2**16 has only
+    prime factors above 2**16; :func:`_large_prime_factors` splits it with
+    :func:`is_prime` and Pollard's rho, so a large prime cofactor, or a
+    product of two primes that are not both huge, ends the factoring at
+    once.  The divisors are then generated from the factorization and
+    sorted.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    divs = [1]
+    primes: list[int] = []
     rest = n
     p = 2
-    tested = False  # whether rest has been through is_prime
-    while p * p <= rest:
-        if rest % p == 0:
-            power = [1]
-            while rest % p == 0:
-                rest //= p
-                power.append(power[-1] * p)
-            divs = [d * q for d in divs for q in power]
-            tested = False
-        elif p > _TRIAL_ONLY_BELOW and not tested:
-            if is_prime(rest):
-                break
-            tested = True
+    while p * p <= rest and p <= _TRIAL_ONLY_BELOW:
+        while rest % p == 0:
+            rest //= p
+            primes.append(p)
         p += 1 if p == 2 else 2
-    if rest > 1:
-        divs += [d * rest for d in divs]
+    if rest > 1:  # a prime once p * p > rest
+        primes += [rest] if p * p > rest else _large_prime_factors(rest)
+    divs = [1]
+    for q, k in Counter(primes).items():
+        divs = [d * q**i for d in divs for i in range(k + 1)]
     return tuple(sorted(divs))
+
+
+def _large_prime_factors(m: int) -> list[int]:
+    """The prime factors of m, with multiplicity, for m with no factor below 2**16."""
+    if is_prime(m):
+        return [m]
+    f = _rho_factor(m)
+    return _large_prime_factors(f) + _large_prime_factors(m // f)
+
+
+def _rho_factor(m: int) -> int:
+    """A proper factor of the odd composite m, by Brent's variant of Pollard's
+    rho: iterate y -> y*y + c mod m from y = 2 and take gcds of batched
+    products of differences.  c runs 1, 2, ... until a factor turns up, so
+    the result is the same on every run."""
+    for c in count(1):
+        y, power, product, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % m
+            done = 0
+            while done < power and g == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, power - done)):
+                    y = (y * y + c) % m
+                    product = product * abs(x - y) % m
+                g = gcd(product, m)
+                done += _RHO_BATCH
+            power *= 2
+        if g == m:  # the batch overshot: step again one at a time from its start
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % m
+                g = gcd(abs(x - saved), m)
+        if g != m:
+            return g
 
 
 # --- the gamma step function -------------------------------------------------
@@ -111,7 +144,8 @@ def gamma_value(m: int) -> Fraction:
 # --- cube-root divisor-count bounds ------------------------------------------
 
 
-_TRIAL_ONLY_BELOW = 1 << 16  # divisor_list calls is_prime past this trial divisor
+_TRIAL_ONLY_BELOW = 1 << 16  # divisor_list factors by rho past this trial divisor
+_RHO_BATCH = 128  # differences multiplied together between gcds in _rho_factor
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of _WITNESSES (Sorenson and Webster 2015)
 _WITNESSES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
@@ -119,21 +153,21 @@ _WITNESSES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 def is_prime(n: int) -> bool:
     """Whether n is prime: Miller-Rabin on the first 13 primes as bases,
-    exact for n below 3.3e24, and trial division to sqrt(n) above that."""
+    exact for n below 3.3e24.  Above that, a composite it does not reject
+    is caught by trial division to sqrt(n)."""
     if n < 2:
         return False
     for w in _WITNESSES:
         if n % w == 0:
             return n == w
-    if n >= _WITNESSES_EXACT_BELOW:
-        return all(n % i for i in range(_WITNESSES[-1] + 2, isqrt(n) + 1, 2))
     twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2**twos
     odd = (n - 1) >> twos
     for w in _WITNESSES:
         x = pow(w, odd, n)
         if x != 1 and all(pow(x, 2**i, n) != n - 1 for i in range(twos)):
             return False
-    return True
+    return n < _WITNESSES_EXACT_BELOW or all(
+        n % i for i in range(_WITNESSES[-1] + 2, isqrt(n) + 1, 2))
 
 
 def peak_exponent(p: int) -> int:

@@ -23,6 +23,12 @@ The families and their groups:
     case 9:   n = 1 (6),   r = n-6, type 3^1 r^1, s = 3, in A_n
     case 10:  n = 1 (6),   r = n-5, type 2^1 3^1 r^1, s = 3, in A_n
 
+Each family's facts are written once, in its row of the private table
+``_FAMILIES``: congruence and minimum degree, r, target type, s,
+computation group, floors, and the constants of the P(B) bound and the
+divisor classes.  Every function reads the row; P(A) is derived from it
+as one over the centralizer order of the target type, doubled in A_n.
+
 For cases 6 to 9 the conditioning event B consists of even
 permutations only (every cycle length divides 3r, which is odd), so
 the conditional probability is the same whether computed in S_n or in
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -87,17 +93,15 @@ class CaseSpec:
     r: int
     cycle_type: CycleType  # full type, fixed points included
     power_order: int  # required order s of g**r
-    group: str  # ambient group, "S" or "A"
-    n_condition: str  # admissibility predicate on n, for display
 
     @property
     def calc_group(self) -> str:
-        """Group the probabilities are computed in.
+        """Group the probabilities are computed in, "S" or "A".
 
-        Differs from ``group`` only in cases 6 to 9, where B contains
+        It is the family's group except in cases 6 to 9, where B contains
         even permutations only and the S_n numbers carry over.
         """
-        return "S" if self.case_id in (1, 2, 3, 6, 7, 8, 9) else "A"
+        return _FAMILIES[self.case_id].group
 
     @property
     def order_bound(self) -> int:
@@ -105,18 +109,44 @@ class CaseSpec:
         return self.power_order * self.r
 
 
-# per case: (residues, modulus, r_offset, extra_parts, s, ambient, n_min, label)
-_CASE_ROWS: dict[int, tuple[tuple[int, ...] | None, int, int, tuple[int, ...], int, str, int, str]] = {
-    1: (None, 1, 0, (), 1, "S", 5, "any n"),
-    2: ((1,), 2, 2, (2,), 2, "S", 8, "n odd"),
-    3: ((0,), 2, 3, (2,), 2, "S", 8, "n even"),
-    4: ((1,), 2, 0, (), 1, "A", 5, "n odd"),
-    5: ((0,), 2, 1, (), 1, "A", 5, "n even"),
-    6: ((2, 4), 6, 3, (3,), 3, "A", 8, "n = 2 or 4 (mod 6)"),
-    7: ((3, 5), 6, 4, (3,), 3, "A", 8, "n = 3 or 5 (mod 6)"),
-    8: ((0,), 6, 5, (3,), 3, "A", 8, "n = 0 (mod 6)"),
-    9: ((1,), 6, 6, (3,), 3, "A", 8, "n = 1 (mod 6)"),
-    10: ((1,), 6, 5, (2, 3), 3, "A", 8, "n = 1 (mod 6)"),
+class _Family(NamedTuple):
+    """Every fact of one family, in the column order of ``_FAMILIES``."""
+
+    residues: tuple[int, ...]  # admissible n mod `modulus`
+    modulus: int
+    n_min: int
+    label: str  # the congruence, as error messages name it
+    offset: int  # r = n - offset
+    extra: tuple[int, ...]  # cycles of the target type besides the r-cycle
+    s: int  # power order
+    group: str  # computation group, "S" or "A"
+    floor: Fraction  # absolute floor for P(A | B) outside _FLOOR_EXCEPTIONS
+    n23: tuple[Fraction, int, int]  # (base, a, b) of base - (a + b*gamma)/n^(2/3)
+    gamma_of_n: bool  # that gamma's argument: n if true, else s*r
+    pb: tuple[Fraction, int, int, Fraction, Fraction] | None  # see prob_B_upper_bound
+    # (cofactors, cutoff, stray (n, r, d), least n); see admissible_divisor_check
+    classes: tuple[tuple[int, ...], int, tuple[int, int, int] | None, int] | None
+
+
+_F = Fraction
+_FAMILIES: dict[int, _Family] = {
+    1: _Family((0,), 1, 5, "any n", 0, (), 1, "S", _F(1, 2), (_F(1), 8, 15), True, None, None),
+    2: _Family((1,), 2, 8, "n odd", 2, (2,), 2, "S", _F(1, 3), (_F(1), 18, 76), False,
+               (_F(1), 3, 18, _F(5, 3), _F(50, 9)), ((2, 3), 5, None, 7)),
+    3: _Family((0,), 2, 8, "n even", 3, (2,), 2, "S", _F(1, 3), (_F(1), 18, 76), False,
+               (_F(1), 3, 18, _F(5, 3), _F(50, 9)), ((2, 3), 5, None, 7)),
+    4: _Family((1,), 2, 5, "n odd", 0, (), 1, "A", _F(1, 2), (_F(1), 8, 15), True, None, None),
+    5: _Family((0,), 2, 5, "n even", 1, (), 1, "A", _F(1, 2), (_F(1), 8, 15), True, None, None),
+    6: _Family((2, 4), 6, 8, "n = 2 or 4 (mod 6)", 3, (3,), 3, "S", _F(1, 3), (_F(1), 98, 839),
+               False, (_F(1), 7, 39, _F(5, 4), _F(75, 16)), ((3, 5, 7, 11, 13), 15, None, 8)),
+    7: _Family((3, 5), 6, 8, "n = 3 or 5 (mod 6)", 4, (3,), 3, "S", _F(1, 3), (_F(1), 98, 839),
+               False, (_F(1), 7, 39, _F(5, 4), _F(75, 16)), ((3, 5, 7, 11, 13), 15, None, 8)),
+    8: _Family((0,), 6, 8, "n = 0 (mod 6)", 5, (3,), 3, "S", _F(1, 3), (_F(1), 98, 839),
+               False, (_F(1, 2), 7, 39, _F(5, 4), _F(75, 16)), ((3, 5, 7, 11, 13), 15, None, 8)),
+    9: _Family((1,), 6, 8, "n = 1 (mod 6)", 6, (3,), 3, "S", _F(1, 3), (_F(1, 2), 46, 228),
+               False, (_F(1, 3), 7, 39, _F(5, 4), _F(75, 16)), ((3, 5, 7, 11, 13), 15, None, 8)),
+    10: _Family((1,), 6, 8, "n = 1 (mod 6)", 5, (2, 3), 3, "A", _F(1, 3), (_F(1), 98, 839),
+                False, (_F(1), 8, 96, _F(5), _F(75, 2)), ((3, 4), 5, (13, 8, 12), 8)),
 }
 
 # Degrees where the case-1 floor drops from 1/2 to 2/7.
@@ -133,14 +163,32 @@ TABLE2_EXCEPTIONS: dict[tuple[int, int], Fraction] = {
     (10, 85): Fraction(3, 10),
 }
 
+# every (case_id, n) whose floor is not its family's
+_FLOOR_EXCEPTIONS: dict[tuple[int, int], Fraction] = {
+    **{(1, n): Fraction(2, 7) for n in CASE1_WEAK_NS},
+    **{(cid, n): Fraction(1, 4) for cid in (2, 3) for n in (11, 17, 18)},
+    **TABLE2_EXCEPTIONS,
+}
+
+
+def _inadmissible(case_id: int, n: int, n_min: int | None = None) -> str | None:
+    """Why n is not an admissible degree of the family, or None if it is.
+
+    ``n_min`` replaces the family minimum; an unknown family raises.
+    """
+    if case_id not in _FAMILIES:
+        raise ValueError(f"case_id must be 1..10, got {case_id}")
+    fam = _FAMILIES[case_id]
+    n_min = fam.n_min if n_min is None else n_min
+    if n < n_min:
+        return f"case {case_id} needs n >= {n_min}, got {n}"
+    if n % fam.modulus not in fam.residues:
+        return f"case {case_id} needs {fam.label}, got n = {n}"
+    return None
+
 
 def admissible_n(case_id: int, n: int) -> bool:
-    if case_id not in _CASE_ROWS:
-        raise ValueError(f"case_id must be 1..10, got {case_id}")
-    residues, modulus, _, _, _, _, n_min, _ = _CASE_ROWS[case_id]
-    if n < n_min:
-        return False
-    return residues is None or n % modulus in residues
+    return _inadmissible(case_id, n) is None
 
 
 def admissible_degrees(case_id: int, n_lo: int, n_hi: int) -> Iterator[int]:
@@ -156,90 +204,63 @@ def case_params(case_id: int, n: int) -> CaseSpec:
     Raises ValueError if the degree is below the family minimum (5 for
     cases 1, 4, 5 and 8 otherwise) or breaks its congruence.
     """
-    if case_id not in _CASE_ROWS:
-        raise ValueError(f"case_id must be 1..10, got {case_id}")
-    residues, modulus, offset, extra, s, ambient, n_min, label = _CASE_ROWS[case_id]
-    if n < n_min:
-        raise ValueError(f"case {case_id} needs n >= {n_min}, got {n}")
-    if residues is not None and n % modulus not in residues:
-        raise ValueError(f"case {case_id} needs {label}, got n = {n}")
-    r = n - offset
-    fixed = n - r - sum(extra)
-    parts = extra + (r,) + (1,) * fixed
-    return CaseSpec(case_id, n, r, CycleType(parts), s, ambient, label)
-
-
-# closed forms for P(A) in the computation group, as multiples of 1/r
-_PROB_A_FORMS: dict[int, Fraction] = {
-    1: Fraction(1),
-    2: Fraction(1, 2),
-    3: Fraction(1, 2),
-    4: Fraction(2),
-    5: Fraction(2),
-    6: Fraction(1, 3),
-    7: Fraction(1, 3),
-    8: Fraction(1, 6),
-    9: Fraction(1, 18),
-    10: Fraction(1, 3),
-}
+    problem = _inadmissible(case_id, n)
+    if problem is not None:
+        raise ValueError(problem)
+    fam = _FAMILIES[case_id]
+    r = n - fam.offset
+    parts = fam.extra + (r,) + (1,) * (fam.offset - sum(fam.extra))
+    return CaseSpec(case_id, n, r, CycleType(parts), fam.s)
 
 
 def prob_A(spec: CaseSpec) -> Fraction:
-    """Exact probability of the target cycle type in ``calc_group``."""
-    return _PROB_A_FORMS[spec.case_id] / spec.r
+    """Exact probability of the target cycle type in ``calc_group``.
+
+    One over the centralizer order in S_n, doubled in A_n, which holds
+    the whole (even) class at half the group size.
+    """
+    return Fraction(2 if spec.calc_group == "A" else 1, spec.cycle_type.centralizer_order())
+
+
+def _b_moduli(spec: CaseSpec) -> tuple[int, ...]:
+    """The moduli of the terms of P(B): P(n, r) when s = 1, and
+    P(n, s*r) - P(n, r) otherwise (the order divides s*r but not r)."""
+    return (spec.r,) if spec.power_order == 1 else (spec.order_bound, spec.r)
 
 
 def prob_B(spec: CaseSpec, *, table: ProportionTable | None = None) -> Fraction:
     """Exact probability of the power condition in ``calc_group``."""
     t = _table(table)
-    n, r, s = spec.n, spec.r, spec.power_order
-    if s == 1:
-        if spec.calc_group == "A":
-            return prop_alternating(n, r, table=t)
-        return t.prop(n, r)
-    # order divides s*r but not r
     if spec.calc_group == "A":
-        return prop_alternating(n, s * r, table=t) - prop_alternating(n, r, table=t)
-    return t.prop(n, s * r) - t.prop(n, r)
+        terms = [prop_alternating(spec.n, m, table=t) for m in _b_moduli(spec)]
+    else:
+        terms = [t.prop(spec.n, m) for m in _b_moduli(spec)]
+    return terms[0] - sum(terms[1:])
 
 
 def prob_B_upper_bound(spec: CaseSpec) -> Fraction:
     """Closed upper bound for P(B), families 2, 3 and 6 to 10.
 
-    The single-cycle families are served by the sharper near-diagonal
-    bound on the plain proportion instead (see bounds module).
+    With m = s*r and g = gamma(m) it reads
+
+        lead/m + (a + b*g)/n^2 + d(m) * (c + e*g)/n^2
+
+    for the family's constants (lead, a, b, c, e).  The single-cycle
+    families are served by the sharper near-diagonal bound on the plain
+    proportion instead (see bounds module).
     """
-    n, r, cid = spec.n, spec.r, spec.case_id
-    if cid in (2, 3):
-        g = gamma_value(2 * r)
-        dm = len(divisor_list(2 * r))
-        return (
-            Fraction(1, 2 * r)
-            + Fraction(3 + 18 * g, 1) / n**2
-            + dm * (Fraction(5, 3) + 50 * g / 9) / n**2
-        )
-    if cid in (6, 7, 8, 9):
-        g = gamma_value(3 * r)
-        dm = len(divisor_list(3 * r))
-        c = {6: Fraction(1), 7: Fraction(1), 8: Fraction(1, 2), 9: Fraction(1, 3)}[cid]
-        return c / (3 * r) + Fraction(7 + 39 * g, 1) / n**2 + dm * (20 + 75 * g) / 16 / n**2
-    if cid == 10:
-        g = gamma_value(3 * r)
-        dm = len(divisor_list(3 * r))
-        return Fraction(1, 3 * r) + Fraction(8 + 96 * g, 1) / n**2 + dm * (10 + 75 * g) / 2 / n**2
-    raise ValueError("closed P(B) bound available for cases 2,3 and 6..10 only")
+    pb = _FAMILIES[spec.case_id].pb
+    if pb is None:
+        raise ValueError("closed P(B) bound available for cases 2,3 and 6..10 only")
+    lead, a, b, c, e = pb
+    m, n = spec.order_bound, spec.n
+    g = gamma_value(m)
+    return lead / m + (a + b * g) / n**2 + len(divisor_list(m)) * (c + e * g) / n**2
 
 
 def lower_bound_for(spec: CaseSpec) -> Fraction:
     """The absolute floor for P(A | B) at this degree."""
-    cid, n = spec.case_id, spec.n
-    if cid == 1:
-        return Fraction(2, 7) if n in CASE1_WEAK_NS else Fraction(1, 2)
-    if cid in (4, 5):
-        return Fraction(1, 2)
-    if cid in (2, 3):
-        return Fraction(1, 4) if n in (11, 17, 18) else Fraction(1, 3)
-    return TABLE2_EXCEPTIONS.get((cid, n), Fraction(1, 3))
+    return _FLOOR_EXCEPTIONS.get((spec.case_id, spec.n), _FAMILIES[spec.case_id].floor)
 
 
 def cond_prob(spec: CaseSpec, *, table: ProportionTable | None = None) -> CondProbReport:
@@ -255,17 +276,10 @@ def cond_prob(spec: CaseSpec, *, table: ProportionTable | None = None) -> CondPr
     )
 
 
-# (base, additive constant a, gamma multiplier b, gamma argument) with
-# the floor reading  base - (a + b*gamma(arg)) / n^(2/3)
 def _n23_parameters(spec: CaseSpec) -> tuple[Fraction, int, int, int]:
-    cid = spec.case_id
-    if cid in (1, 4, 5):
-        return Fraction(1), 8, 15, spec.n
-    if cid in (2, 3):
-        return Fraction(1), 18, 76, 2 * spec.r
-    if cid == 9:
-        return Fraction(1, 2), 46, 228, 3 * spec.r
-    return Fraction(1), 98, 839, 3 * spec.r
+    """(base, a, b, arg) of the floor  base - (a + b*gamma(arg)) / n^(2/3)."""
+    fam = _FAMILIES[spec.case_id]
+    return (*fam.n23, spec.n if fam.gamma_of_n else spec.order_bound)
 
 
 def check_n23_bound(spec: CaseSpec, cond_value: Fraction) -> BoundReport:
@@ -341,22 +355,20 @@ def _prob_B_ceiling(spec: CaseSpec) -> Fraction:
 def _float_passes(specs: list[CaseSpec]) -> list[bool]:
     """Which degrees of one family the float filter certifies to pass.
 
-    P(B) is P(n, r) when s = 1 and P(n, sr) - P(n, r) otherwise, in the
-    family's computation group; the enclosure of the difference adds the
+    P(B) is enclosed from its terms (see :func:`_b_moduli`) in the
+    family's computation group; the enclosure of a difference adds the
     errors of both terms, rounded outward.
     """
-    s, group = specs[0].power_order, specs[0].calc_group
-    moduli = [spec.r for spec in specs]
-    if s > 1:
-        moduli += [spec.order_bound for spec in specs]
+    terms = list(zip(*map(_b_moduli, specs)))  # terms[j][i]: term j of P(B) at specs[i]
     ns = np.array([spec.n for spec in specs])
-    lo, hi = prop_enclosure(moduli, int(ns.max()), alternating=group == "A")
+    lo, hi = prop_enclosure([m for col in terms for m in col], int(ns.max()),
+                            alternating=specs[0].calc_group == "A")
     at = (ns, np.arange(len(specs)))
     lo_b, hi_b = lo[at], hi[at]
-    if s > 1:
-        top = (ns, np.arange(len(specs), 2 * len(specs)))
-        lo_b, hi_b = (np.nextafter(lo[top] - hi_b, -np.inf),
-                      np.nextafter(hi[top] - lo_b, np.inf))
+    if len(terms) > 1:
+        less = (ns, np.arange(len(specs), 2 * len(specs)))
+        lo_b, hi_b = (np.nextafter(lo_b - hi[less], -np.inf),
+                      np.nextafter(hi_b - lo[less], np.inf))
     # Python floats, so each comparison with a Fraction is exact
     return [low > 0 and high <= _prob_B_ceiling(spec)
             for spec, low, high in zip(specs, lo_b.tolist(), hi_b.tolist())]
@@ -396,40 +408,27 @@ def sweep_theorem2(
 
 
 def admissible_divisor_check(case_id: int, n: int) -> BoundReport:
-    """Classify every divisor d <= n of the power-test modulus.
+    """Classify every divisor d <= n of the power-test modulus m = s*r.
 
-    For families 2 and 3 (modulus 2r, n >= 7): each divisor is r, or
-    2r/3, or at most 2r/5.  For families 6 to 9 (modulus 3r, n >= 8):
-    each is r, or 3r/y with y in {5, 7, 11, 13}, or at most r/5.  For
-    family 10: each is r, or 3r/4, or at most 3r/5, or the single
-    stray triple (n, r, d) = (13, 8, 12).  The report counts
+    A divisor is classified when its cofactor y = m/d is in the family's
+    set or at least its cutoff.  For families 2 and 3 (m = 2r, n >= 7):
+    each divisor is r, or 2r/3, or at most 2r/5.  For families 6 to 9
+    (m = 3r, n >= 8): each is r, or 3r/y with y in {5, 7, 11, 13}, or at
+    most r/5.  For family 10: each is r, or 3r/4, or at most 3r/5, or the
+    single stray triple (n, r, d) = (13, 8, 12).  The report counts
     unclassified divisors on the left against zero on the right.
     """
-    if case_id in (2, 3):
-        n_min = 7
-    elif case_id in (6, 7, 8, 9, 10):
-        n_min = 8
-    else:
+    fam = _FAMILIES.get(case_id)
+    if fam is None or fam.classes is None:
         raise ValueError("divisor classification applies to cases 2,3 and 6..10")
-    if n < n_min:
-        raise ValueError(f"case {case_id} divisor check needs n >= {n_min}")
-    residues, modulus, offset, _, s, _, _, label = _CASE_ROWS[case_id]
-    if residues is not None and n % modulus not in residues:
-        raise ValueError(f"case {case_id} needs {label}, got n = {n}")
-    r = n - offset
-    m = s * r
-    stray: list[int] = []
-    for d in divisor_list(m):
-        if d > n:
-            break
-        if case_id in (2, 3):
-            ok = d == r or 3 * d == 2 * r or 5 * d <= 2 * r
-        elif case_id in (6, 7, 8, 9):
-            ok = d == r or 5 * d <= r or any(d * y == 3 * r for y in (5, 7, 11, 13))
-        else:
-            ok = d == r or 4 * d == 3 * r or 5 * d <= 3 * r or (n, r, d) == (13, 8, 12)
-        if not ok:
-            stray.append(d)
+    cofactors, cutoff, allowed, n_min = fam.classes
+    problem = _inadmissible(case_id, n, n_min)
+    if problem is not None:
+        raise ValueError(problem)
+    r = n - fam.offset
+    m = fam.s * r
+    stray = [d for d in divisor_list(m) if d <= n and m // d not in cofactors
+             and m // d < cutoff and (n, r, d) != allowed]
     witness = (
         "unclassified d=" + ",".join(map(str, stray))
         if stray

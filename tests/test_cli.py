@@ -169,6 +169,21 @@ def test_divisors_of_a_large_prime_finish_quickly():
     assert out.getvalue().startswith(f"n={2**61 - 1} d(n)=2 divisors=1,{2**61 - 1} ")
 
 
+def test_divisors_of_a_product_of_two_large_primes_finish_quickly():
+    # trial division up to 2**31 - 1 did not finish; a cofactor that fails
+    # the primality test is now split by Pollard's rho
+    from symprop import cli
+
+    n = (2**31 - 1) * (2**61 - 1)
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(["divisors", "--n", str(n)])
+    assert time.perf_counter() - t0 < 1.0
+    assert status == 0
+    assert out.getvalue().startswith(f"n={n} d(n)=4 divisors=1,{2**31 - 1},{2**61 - 1},{n} ")
+
+
 def test_sample_with_a_modulus_beyond_int64():
     out = subprocess.run(CLI + ["sample", "--n", "12", "--m", str(2**64), "--trials", "100",
                                 "--seed", "1"], capture_output=True, text=True, timeout=60)
@@ -181,6 +196,8 @@ def test_sample_with_a_modulus_beyond_int64():
     ["lemma-check", "--limit", "0"],
     ["verify-thm1", "--n-lo", "40", "--n-hi", "30"],
     ["verify-thm2", "--n-lo", "500", "--n-hi", "400"],
+    ["verify-thm2", "--case", "2", "--n-lo", "500"],
+    ["verify-thm2", "--n-lo", "500"],
     ["lemma-check", "--pairs-max", "-3"],
     ["sample", "--n", "1", "--m", "2", "--group", "A"],
     ["sample", "--case", "2", "--n", "10"],
@@ -192,6 +209,20 @@ def test_bad_arguments_are_usage_errors(argv):
     out = run(*argv)
     assert out.returncode == 2
     assert out.stdout == "" and "error:" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_empty_thm2_window_names_the_case():
+    # each family's default top applies before the check: cases 2, 3 and
+    # 6-10 stop at 300, cases 1, 4 and 5 at 1000
+    from symprop import cli
+
+    def problem(*argv):
+        args = cli.build_parser().parse_args(["verify-thm2", *argv])
+        return cli._check_verify_thm2(args)
+
+    assert problem("--n-lo", "500") == "need --n-lo <= --n-hi: case 2 ends at n = 300"
+    assert problem("--case", "1", "--n-lo", "500") is None
+    assert problem("--case", "5", "--n-lo", "1001").endswith("case 5 ends at n = 1000")
 
 
 def test_internal_fault_is_not_a_usage_error():

@@ -14,8 +14,10 @@ rewritten, by
 which lifts the digit limit in its own process only, so the large-n
 ``prop`` cases recorded their full digits.  Never regenerate the data
 after editing ``cli.py``: that would turn whatever the edited code prints
-into the expectation.  Add a case only by capturing it at a commit whose
-output is already trusted.
+into the expectation.  ``--capture`` therefore only adds: it runs the
+cases missing from the file, keeps every recorded entry, hand-edited
+ones included, as it is, and prints the keys it kept.  Add a case only
+by capturing it at a commit whose output is already trusted.
 
 One deliberate edit since: the three ``verify-shat --m-max 50`` entries
 (with the default candidates) were rewritten by hand when the expected
@@ -152,19 +154,26 @@ def test_golden_output(argv, golden):
 
 
 def capture() -> dict:
+    """The recorded cases, plus a fresh capture of each case not yet in DATA."""
     sys.set_int_max_str_digits(0)
-    cases = {}
+    with open(DATA, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
     for argv in CASES:
+        key = _key(argv)
+        if key in cases:
+            print(f"kept {key}", file=sys.stderr)
+            continue
         status, out = run_case(argv)
-        cases[_key(argv)] = {"status": status, "bytes": len(out),
-                             "sha256": hashlib.sha256(out).hexdigest()}
-        print(f"{status} {_key(argv)}", file=sys.stderr)
+        cases[key] = {"status": status, "bytes": len(out),
+                      "sha256": hashlib.sha256(out).hexdigest()}
+        print(f"added {key} (exit {status})", file=sys.stderr)
     return cases
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--capture"]:
         raise SystemExit("usage: test_cli_golden.py --capture")
+    captured = capture()  # read DATA before opening it for writing
     with open(DATA, "w", encoding="utf-8") as fh:
-        json.dump({"cases": capture()}, fh, indent=1, sort_keys=True)
+        json.dump({"cases": captured}, fh, indent=1, sort_keys=True)
         fh.write("\n")

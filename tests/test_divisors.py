@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import divisor_count, isprime
+from sympy import divisor_count, divisors, isprime, nextprime, prevprime
 
 from oracles import divisors_by_trial, is_prime_by_trial, quad_divisor_excess
 from symprop.divisors import (
@@ -74,6 +74,16 @@ def test_divisor_list_tests_each_new_cofactor():
     p = 2**61 - 1
     assert divisor_list(65537 * p) == (1, 65537, p, 65537 * p)
     assert divisor_list(65539**2 * p) == (1, 65539, 65539**2, p, 65539 * p, 65539**2 * p)
+
+
+_PRIMES_2_20_TO_2_40 = st.integers(nextprime(2**20) + 1, 2**40).map(prevprime)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_PRIMES_2_20_TO_2_40, _PRIMES_2_20_TO_2_40)
+def test_divisor_list_splits_a_product_of_two_primes(p, q):
+    # both factors lie past the trial divisors, so Pollard's rho splits them
+    assert divisor_list(p * q) == tuple(divisors(p * q))
 
 
 def test_gamma_value_thresholds():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -200,3 +203,25 @@ def test_table2_keys_are_admissible():
     for (cid, n), floor in TABLE2_EXCEPTIONS.items():
         assert admissible_n(cid, n)
         assert floor in (Fraction(3, 10), Fraction(3, 20))
+
+
+def test_family_records_are_pinned(table):
+    # every family fact at every admissible n <= 300: parameters, P(A),
+    # floors, the exact record, both checks and, where defined, the P(B)
+    # bound and the divisor classes; the digest was taken before the
+    # families were gathered into one table
+    records = []
+    for cid in ALL_CASES:
+        for n in admissible_degrees(cid, 1, 300):
+            spec = case_params(cid, n)
+            rep = cond_prob(spec, table=table)
+            rec = [cid, n, spec.r, spec.cycle_type.parts, spec.power_order, spec.calc_group,
+                   spec.order_bound, prob_A(spec), lower_bound_for(spec), rep.record(),
+                   astuple(check_n23_bound(spec, rep.p_A_given_B))]
+            if cid not in (1, 4, 5):
+                rec += [prob_B_upper_bound(spec), astuple(admissible_divisor_check(cid, n))]
+            records.append(rec)
+    records.append(astuple(admissible_divisor_check(2, 7)))
+    digest = hashlib.sha256(json.dumps(records, default=str).encode()).hexdigest()
+    assert len(records) == 1227
+    assert digest == "a95ae63720da32f744ba7ec0b0301cded276e64a8415e74d47d00a74eece76e1"
