@@ -41,11 +41,11 @@ import numpy as np
 from .divisors import C0_CUBED, divisor_list, divisor_rich_candidates, gamma_value
 from .enclosure import Interval, cbrt_enclosure, sqrt_enclosure
 from .proportions import (
-    ENCLOSURE_COLUMNS,
     ProportionTable,
     _arrangement_weights,
     _RelaxedEvaluator,
     _table,
+    filter_then_exact,
     prop_enclosure,
 )
 from .reports import BoundReport
@@ -85,8 +85,8 @@ def check_prop_upper_bound(
     return BoundReport("prop-upper", n, m, None, lhs, rhs, lhs <= rhs)
 
 
-def _undecided_cells(tasks: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, list[int]]]:
-    """For each modulus of ``tasks``, the degrees the float filter cannot pass.
+def _open_cells(tasks: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, int]]:
+    """The cells of ``tasks`` the float filter cannot pass, as (task index, n).
 
     A task (m, n_first, n_last) asks for n_first <= n <= n_last.  A cell
     passes when the upper end of the enclosure of P(n, m) is at most the
@@ -103,9 +103,8 @@ def _undecided_cells(tasks: Sequence[tuple[int, int, int]]) -> Iterator[tuple[in
     n = np.arange(1, upto + 1)[:, None]
     num, den = n * q + p * ms, n * n * q
     passed = (hi[1:] <= np.nextafter(num / den, -np.inf)) & (den < 2**53)
-    open_cells = (n >= first) & (n <= last) & ~passed
-    for i in np.flatnonzero(open_cells.any(axis=0)):
-        yield int(ms[i]), (np.flatnonzero(open_cells[:, i]) + 1).tolist()
+    rows, cols = np.nonzero((n >= first) & (n <= last) & ~passed)
+    return zip(cols.tolist(), (rows + 1).tolist())
 
 
 def sweep_prop_bound(
@@ -119,8 +118,9 @@ def sweep_prop_bound(
     """Check P(n,m) <= 1/n + gamma(m)m/n^2 for n_lo <= n <= n_hi and
     n-1 <= m <= m_multiplier*n.  Returns only the failures (expected none).
 
-    The float filter decides what it can; the cells it leaves open go to
-    the exact comparison.  ``progress`` gets the count of each at the end.
+    One :func:`~symprop.proportions.filter_then_exact` pass, a column per
+    modulus: :func:`_open_cells` passes what the float enclosures certify,
+    and the rest get :func:`check_prop_upper_bound`.
     """
     if not 5 <= n_lo <= n_hi:
         raise ValueError("need 5 <= n_lo <= n_hi")
@@ -135,21 +135,9 @@ def sweep_prop_bound(
             tasks.append((m, n_first, n_last))
 
     t = _table(table)
-    failures: list[BoundReport] = []
-    exact = 0
-    for start in range(0, len(tasks), ENCLOSURE_COLUMNS):
-        for m, ns in _undecided_cells(tasks[start : start + ENCLOSURE_COLUMNS]):
-            exact += len(ns)
-            reports = (check_prop_upper_bound(n, m, table=t) for n in ns)
-            failures.extend(r for r in reports if not r.passed)
-        if progress is not None:
-            done = min(start + ENCLOSURE_COLUMNS, len(tasks))
-            progress(f"bound sweep: {done}/{len(tasks)} rows")
-    if progress is not None:
-        cells = sum(last - first + 1 for _, first, last in tasks)
-        progress(f"bound sweep: {cells - exact} of {cells} cells decided by the float "
-                 f"filter, {exact} by exact arithmetic")
-
+    failures = filter_then_exact(
+        "bound sweep", tasks, sum(last - first + 1 for _, first, last in tasks), _open_cells,
+        lambda task, n: check_prop_upper_bound(n, task[0], table=t), progress)
     failures.sort(key=lambda r: (r.n, r.m))
     return failures
 

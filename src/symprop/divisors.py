@@ -17,7 +17,7 @@ the per-prime factors ``(alpha+1)/p**(alpha/3)`` that drive the cube-root
 constants, the explicit finite set of candidate exceptions to the refined
 bound, a quadratic divisor-sum inequality, and the module's one primality
 test, :func:`is_prime`: Miller-Rabin on the first 13 primes, which is exact
-below 3.3e24, and trial division above that for what it does not reject.
+below 3.3e24, and above that a proof on the completely factored n - 1.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .enclosure import Interval, cbrt_enclosure
+from .enclosure import Interval, cbrt_enclosure, integer_nth_root
 from .reports import BoundReport
 
 __all__ = [
@@ -56,20 +56,25 @@ __all__ = [
 
 @cache
 def divisor_list(n: int) -> tuple[int, ...]:
-    """Ascending tuple of the positive divisors of n >= 1.
-
-    n is factored by trial division over a shrinking cofactor: the trials
-    stop once the trial divisor's square exceeds what is left of n, so the
-    cost is set by n's largest prime factors, not by n (2**64 takes 64
-    halvings).  A cofactor still left when the trials pass 2**16 has only
-    prime factors above 2**16; :func:`_large_prime_factors` splits it with
-    :func:`is_prime` and Pollard's rho, so a large prime cofactor, or a
-    product of two primes that are not both huge, ends the factoring at
-    once.  The divisors are then generated from the factorization and
-    sorted.
-    """
+    """Ascending tuple of the positive divisors of n >= 1, generated from
+    the factorization :func:`_prime_factors` and sorted."""
     if n < 1:
         raise ValueError("n must be positive")
+    divs = [1]
+    for q, k in Counter(_prime_factors(n)).items():
+        divs = [d * q**i for d in divs for i in range(k + 1)]
+    return tuple(sorted(divs))
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1, with multiplicity.
+
+    Trial division over a shrinking cofactor: the trials stop once the
+    trial divisor's square exceeds what is left of n, so the cost is set
+    by n's largest prime factors, not by n (2**64 takes 64 halvings).  A
+    cofactor still left when the trials pass 2**16 has only prime factors
+    above 2**16, and :func:`_large_prime_factors` splits it.
+    """
     primes: list[int] = []
     rest = n
     p = 2
@@ -80,16 +85,24 @@ def divisor_list(n: int) -> tuple[int, ...]:
         p += 1 if p == 2 else 2
     if rest > 1:  # a prime once p * p > rest
         primes += [rest] if p * p > rest else _large_prime_factors(rest)
-    divs = [1]
-    for q, k in Counter(primes).items():
-        divs = [d * q**i for d in divs for i in range(k + 1)]
-    return tuple(sorted(divs))
+    return primes
 
 
 def _large_prime_factors(m: int) -> list[int]:
-    """The prime factors of m, with multiplicity, for m with no factor below 2**16."""
+    """The prime factors of m, with multiplicity, for m with no factor below 2**16.
+
+    A prime is settled by :func:`is_prime`.  A perfect power r**k is split
+    by an exact k-th root, where rho would need about sqrt(r) steps; as
+    r > 2**16, k is at most m.bit_length() // 16.  Anything else is split
+    by Pollard's rho, so a product of two primes that are not both huge
+    splits at once.
+    """
     if is_prime(m):
         return [m]
+    for k in range(2, m.bit_length() // 16 + 1):
+        r = integer_nth_root(m, k)
+        if r**k == m:
+            return _large_prime_factors(r) * k
     f = _rho_factor(m)
     return _large_prime_factors(f) + _large_prime_factors(m // f)
 
@@ -144,7 +157,7 @@ def gamma_value(m: int) -> Fraction:
 # --- cube-root divisor-count bounds ------------------------------------------
 
 
-_TRIAL_ONLY_BELOW = 1 << 16  # divisor_list factors by rho past this trial divisor
+_TRIAL_ONLY_BELOW = 1 << 16  # _prime_factors factors by rho past this trial divisor
 _RHO_BATCH = 128  # differences multiplied together between gcds in _rho_factor
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of _WITNESSES (Sorenson and Webster 2015)
@@ -152,9 +165,18 @@ _WITNESSES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime: Miller-Rabin on the first 13 primes as bases,
-    exact for n below 3.3e24.  Above that, a composite it does not reject
-    is caught by trial division to sqrt(n)."""
+    """Whether n is prime, exactly: no verdict is probabilistic.
+
+    Miller-Rabin on the first 13 primes as bases decides n below 3.3e24.
+    Above that, n is proven prime or composite by Pocklington's criterion
+    with n - 1 factored completely by :func:`_prime_factors`, where it needs
+    no gcd and reads as Lucas's test: n is prime iff for each prime q | n - 1
+    some a has a**(n-1) = 1 and a**((n-1)/q) != 1 (mod n).  (The orders of
+    those a then have lcm n - 1, which divides phi(n) only for a prime.)
+    The search runs a = 2, 3, ...; it meets a primitive root when n is prime,
+    and at the latest n's least prime factor, which fails a**(n-1) = 1, when
+    n is not.  A prime's cost is that of factoring n - 1.
+    """
     if n < 2:
         return False
     for w in _WITNESSES:
@@ -166,8 +188,16 @@ def is_prime(n: int) -> bool:
         x = pow(w, odd, n)
         if x != 1 and all(pow(x, 2**i, n) != n - 1 for i in range(twos)):
             return False
-    return n < _WITNESSES_EXACT_BELOW or all(
-        n % i for i in range(_WITNESSES[-1] + 2, isqrt(n) + 1, 2))
+    if n < _WITNESSES_EXACT_BELOW:
+        return True
+    for q in set(_prime_factors(n - 1)):
+        for a in count(2):
+            x = pow(a, (n - 1) // q, n)
+            if pow(x, q, n) != 1:  # a**(n-1) != 1, so n is composite
+                return False
+            if x != 1:  # the order of a holds the full power of q in n - 1
+                break
+    return True
 
 
 def peak_exponent(p: int) -> int:

@@ -74,7 +74,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import factorial, lcm, prod
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -88,7 +88,7 @@ __all__ = [
     "prop_alternating",
     "prop_enclosure",
     "float_error",
-    "ENCLOSURE_COLUMNS",
+    "filter_then_exact",
     "SplitProportions",
     "prop_split",
     "divisor_sum_capped",
@@ -307,8 +307,8 @@ def prop_alternating(n: int, m: int, *, table: ProportionTable | None = None) ->
 
 UNIT_ROUNDOFF = 2.0**-53
 SMALLEST_SUBNORMAL = 2.0**-1074
-# moduli per prop_enclosure call in the sweeps: bounds each array at
-# (upto + 1) * ENCLOSURE_COLUMNS floats
+# columns per block of filter_then_exact: bounds each enclosure array at
+# (upto + 1) * ENCLOSURE_COLUMNS floats per modulus of a column
 ENCLOSURE_COLUMNS = 1024
 
 
@@ -373,6 +373,41 @@ def prop_enclosure(
         raise ValueError("rows too deep for the written float bound")
     err = float_error(values, np.arange(upto + 1)[:, None], terms)
     return np.nextafter(values - err, -np.inf), np.nextafter(values + err, np.inf)
+
+
+Column = TypeVar("Column")
+Report = TypeVar("Report")
+
+
+def filter_then_exact(
+    label: str,
+    columns: Sequence[Column],
+    cells: int,
+    open_cells: Callable[[Sequence[Column]], Iterable[tuple[int, int]]],
+    exact: Callable[[Column, int], Report],
+    progress: Callable[[str], None] | None = None,
+) -> list[Report]:
+    """The failing reports of a sweep over ``cells`` cells, float filter first.
+
+    ``open_cells`` encloses a block of at most ENCLOSURE_COLUMNS columns with
+    :func:`prop_enclosure` and names the cells it cannot pass, as (index in
+    the block, degree).  Only those get ``exact(column, degree)``, a column
+    at a time in ascending degree, so a ProportionTable's one row only grows.
+    ``progress`` gets one line with the count of each.
+    """
+    failures: list[Report] = []
+    sent = 0
+    for start in range(0, len(columns), ENCLOSURE_COLUMNS):
+        block = columns[start : start + ENCLOSURE_COLUMNS]
+        for i, n in sorted(open_cells(block)):
+            sent += 1
+            report = exact(block[i], n)
+            if not report.passed:
+                failures.append(report)
+    if progress is not None:
+        progress(f"{label}: {cells - sent} of {cells} cells decided by the float filter, "
+                 f"{sent} by exact arithmetic")
+    return failures
 
 
 class SplitProportions(NamedTuple):

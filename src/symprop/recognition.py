@@ -36,30 +36,31 @@ A_n; those cases are computed in S_n.  Cases 4, 5 and 10 are computed
 in A_n, from the share of even permutations.
 
 All probabilities are exact rationals.  :func:`sweep_theorem2` passes a
-degree without them only when the float64 enclosure of P(B) (see
-:mod:`symprop.proportions`) lies below the exact threshold; every other
-degree, and every failure it reports, is computed exactly.  The absolute
-lower bounds on
-P(A | B) are 1/2 for the single-cycle families (weakening to 2/7 for
-case 1 when n divides 24), and 1/3 for the rest, except a short list
-of small degrees where 1/4, 3/10 or 3/20 is the true floor.
+degree without them only when P(A) over the upper end of the float64
+enclosure of P(B) (see :mod:`symprop.proportions`), a rational lower bound
+for P(A | B), already clears both floors by the same exact predicate that
+judges the exact conditional; every other degree, and every failure it
+reports, is computed exactly.  The absolute lower bounds on P(A | B) are
+1/2 for the single-cycle families (weakening to 2/7 for case 1 when n
+divides 24), and 1/3 for the rest, except a short list of small degrees
+where 1/4, 3/10 or 3/20 is the true floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from math import inf
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .divisors import divisor_list, gamma_value
-from .enclosure import cbrt_enclosure
 from .proportions import (
-    ENCLOSURE_COLUMNS,
     CycleType,
     ProportionTable,
     _table,
+    filter_then_exact,
     prop_alternating,
     prop_enclosure,
 )
@@ -291,30 +292,22 @@ def check_n23_bound(spec: CaseSpec, cond_value: Fraction) -> BoundReport:
     separate positivity test is needed.
     """
     base, a, b, arg = _n23_parameters(spec)
-    k = a + b * gamma_value(arg)
-    deficit = base - cond_value
-    if deficit < 0:
-        deficit = Fraction(0)
-    lhs = deficit**3 * spec.n**2
-    rhs = k**3
-    return BoundReport(
-        "n23-lower",
-        spec.n,
-        spec.order_bound,
-        None,
-        lhs,
-        rhs,
-        lhs <= rhs,
-        f"case {spec.case_id}: floor {base} - ({a}+{b}*gamma({arg}))/n^(2/3)",
-    )
+    lhs = max(base - cond_value, Fraction(0)) ** 3 * spec.n**2
+    rhs = (a + b * gamma_value(arg)) ** 3
+    return BoundReport("n23-lower", spec.n, spec.order_bound, None, lhs, rhs, lhs <= rhs,
+                       f"case {spec.case_id}: floor {base} - ({a}+{b}*gamma({arg}))/n^(2/3)")
+
+
+def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
+    """Whether a conditional P(A | B) of ``value`` clears both floors of the
+    degree: the absolute one and the n^(2/3)-shaped one."""
+    return value >= lower_bound_for(spec) and check_n23_bound(spec, value).passed
 
 
 def _exact_report(spec: CaseSpec, table: ProportionTable) -> CondProbReport:
     """The exact conditional; it passes only if both floors hold."""
     rep = cond_prob(spec, table=table)
-    if not check_n23_bound(spec, rep.p_A_given_B).passed:
-        rep = replace(rep, passed=False)
-    return rep
+    return replace(rep, passed=_floors_hold(spec, rep.p_A_given_B))
 
 
 def verify_theorem2(
@@ -340,38 +333,28 @@ def verify_theorem2(
     return out
 
 
-def _prob_B_ceiling(spec: CaseSpec) -> Fraction:
-    """An exact T such that P(B) <= T implies that both floors hold.
+def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[tuple[int, int]]:
+    """The degrees of one family the float filter cannot pass, as (index, n).
 
-    P(A|B) >= floor  <=>  P(B) <= P(A)/floor.  For the n^(2/3) floor
-    base - K/n^(2/3), an upper end c >= n^(2/3) of a cube-root enclosure
-    gives the larger floor base - K/c, so clearing it clears the true one.
-    """
-    base, a, b, arg = _n23_parameters(spec)
-    shaped = base - (a + b * gamma_value(arg)) / cbrt_enclosure(spec.n**2, 6).hi
-    return prob_A(spec) / max(lower_bound_for(spec), shaped)
-
-
-def _float_passes(specs: list[CaseSpec]) -> list[bool]:
-    """Which degrees of one family the float filter certifies to pass.
-
-    P(B) is enclosed from its terms (see :func:`_b_moduli`) in the
-    family's computation group; the enclosure of a difference adds the
-    errors of both terms, rounded outward.
+    P(B) is enclosed from its terms (see :func:`_b_moduli`) in the family's
+    computation group.  Its upper end hi_B is that of the first term, less
+    the lower end of the second when there is one, rounded up.  As
+    hi_B >= P(B) >= P(A) > 0, the rational P(A)/hi_B is at most P(A | B),
+    and both floors only get easier as the conditional grows, so a degree
+    passes when :func:`_floors_hold` holds for P(A)/hi_B.
     """
     terms = list(zip(*map(_b_moduli, specs)))  # terms[j][i]: term j of P(B) at specs[i]
     ns = np.array([spec.n for spec in specs])
     lo, hi = prop_enclosure([m for col in terms for m in col], int(ns.max()),
                             alternating=specs[0].calc_group == "A")
-    at = (ns, np.arange(len(specs)))
-    lo_b, hi_b = lo[at], hi[at]
+    cols = np.arange(len(specs))
+    hi_b = hi[ns, cols]
     if len(terms) > 1:
-        less = (ns, np.arange(len(specs), 2 * len(specs)))
-        lo_b, hi_b = (np.nextafter(lo_b - hi[less], -np.inf),
-                      np.nextafter(hi_b - lo[less], np.inf))
-    # Python floats, so each comparison with a Fraction is exact
-    return [low > 0 and high <= _prob_B_ceiling(spec)
-            for spec, low, high in zip(specs, lo_b.tolist(), hi_b.tolist())]
+        hi_b = np.nextafter(hi_b - lo[ns, cols + len(specs)], np.inf)
+    for i, (spec, ceiling) in enumerate(zip(specs, hi_b.tolist())):
+        # an infinite or NaN end decides nothing; Fraction(ceiling) is exact
+        if not (ceiling < inf and _floors_hold(spec, prob_A(spec) / Fraction(ceiling))):
+            yield i, spec.n
 
 
 def sweep_theorem2(
@@ -385,25 +368,15 @@ def sweep_theorem2(
     """The verdicts of :func:`verify_theorem2`, filter first.
 
     Returns the number of admissible degrees in [n_lo, n_hi] and the exact
-    reports of those that fail, sorted by degree.  The float filter passes
-    what it can certify; the rest get the exact check.  ``progress`` gets
-    the count of each at the end.
+    reports of those that fail, sorted by degree.  It is one
+    :func:`~symprop.proportions.filter_then_exact` pass, a column per degree:
+    :func:`_open_degrees` passes what the float enclosure of P(B) certifies,
+    and the rest get the exact check; both judge by :func:`_floors_hold`.
     """
     t = _table(table)
     specs = [case_params(case_id, n) for n in admissible_degrees(case_id, n_lo, n_hi)]
-    failures: list[CondProbReport] = []
-    exact = 0
-    for start in range(0, len(specs), ENCLOSURE_COLUMNS):
-        block = specs[start : start + ENCLOSURE_COLUMNS]
-        for spec, passed in zip(block, _float_passes(block)):
-            if not passed:
-                exact += 1
-                rep = _exact_report(spec, t)
-                if not rep.passed:
-                    failures.append(rep)
-    if progress is not None:
-        progress(f"case {case_id}: {len(specs) - exact} of {len(specs)} cells decided by "
-                 f"the float filter, {exact} by exact arithmetic")
+    failures = filter_then_exact(f"case {case_id}", specs, len(specs), _open_degrees,
+                                 lambda spec, n: _exact_report(spec, t), progress)
     return len(specs), failures
 
 

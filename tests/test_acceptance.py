@@ -24,7 +24,13 @@ from symprop.bounds import (
 from symprop.cli import build_parser
 from symprop.divisors import sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
 from symprop.proportions import prop_split
-from symprop.recognition import admissible_degrees, admissible_n, case_params, cond_prob
+from symprop.recognition import (
+    CASE1_WEAK_NS,
+    admissible_degrees,
+    admissible_n,
+    case_params,
+    cond_prob,
+)
 from symprop.sampler import estimate_case_event, estimate_order_divides, search_cost_sim
 
 THIRD = Fraction(1, 3)
@@ -96,11 +102,15 @@ def test_criterion_05_divisor_majorant_step(capsys):
 
 
 def test_criterion_06_half_floor_families(table, capsys):
+    # the abstract: an n-cycle given x**n = 1 has probability greater than
+    # 2/7, and greater than 1/2 if n does not divide 24; a tie is bad
+    divides_24 = {n for n in range(5, 25) if 24 % n == 0}
+    assert CASE1_WEAK_NS == divides_24
     bad: list[tuple] = []
     for n in range(5, 501):
         value = cond_prob(case_params(1, n), table=table).p_A_given_B
-        floor = Fraction(2, 7) if n in (6, 8, 12, 24) else Fraction(1, 2)
-        if value < floor:
+        floor = Fraction(2, 7) if n in divides_24 else Fraction(1, 2)
+        if value <= floor:
             bad.append((1, n, value))
         if n == 5 and value != Fraction(24, 25):
             bad.append((1, 5, "anchor", value))

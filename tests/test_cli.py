@@ -184,6 +184,24 @@ def test_divisors_of_a_product_of_two_large_primes_finish_quickly():
     assert out.getvalue().startswith(f"n={n} d(n)=4 divisors=1,{2**31 - 1},{2**61 - 1},{n} ")
 
 
+@pytest.mark.parametrize("n, count", [((2**61 - 1) ** 2, 3), (2**89 - 1, 2)],
+                         ids=["square-of-a-large-prime", "prime-above-3.3e24"])
+def test_divisors_past_rho_and_miller_rabin_finish_quickly(n, count):
+    # rho needs about 2**30 steps to split (2**61 - 1)**2, which an exact
+    # square root splits at once; 2**89 - 1 lies above the range where
+    # Miller-Rabin on 13 bases is exact, and trial division to its square
+    # root did not finish, where a Pocklington proof on the factored n - 1 does
+    from symprop import cli
+
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(["divisors", "--n", str(n)])
+    assert time.perf_counter() - t0 < 1.0
+    assert status == 0
+    assert out.getvalue().startswith(f"n={n} d(n)={count} ")
+
+
 def test_sample_with_a_modulus_beyond_int64():
     out = subprocess.run(CLI + ["sample", "--n", "12", "--m", str(2**64), "--trials", "100",
                                 "--seed", "1"], capture_output=True, text=True, timeout=60)

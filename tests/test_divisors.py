@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import divisor_count, divisors, isprime, nextprime, prevprime
 
 from oracles import divisors_by_trial, is_prime_by_trial, quad_divisor_excess
+from symprop import divisors as divisors_module
 from symprop.divisors import (
     C0_CUBED,
     CUBE_CONSTANTS,
@@ -84,6 +85,48 @@ _PRIMES_2_20_TO_2_40 = st.integers(nextprime(2**20) + 1, 2**40).map(prevprime)
 def test_divisor_list_splits_a_product_of_two_primes(p, q):
     # both factors lie past the trial divisors, so Pollard's rho splits them
     assert divisor_list(p * q) == tuple(divisors(p * q))
+
+
+_BOUND = 3_317_044_064_679_887_385_961_981  # Miller-Rabin on 13 prime bases is exact below
+
+
+@pytest.mark.parametrize("n", [2**89 - 1, 2**107 - 1, 2**127 - 1, nextprime(_BOUND),
+                               prevprime(2**100), nextprime(10**30)])
+def test_is_prime_proves_primes_above_the_miller_rabin_range(n):
+    assert is_prime(n) and isprime(n)
+
+
+@pytest.mark.parametrize("n", [_BOUND, (2**61 - 1) * (2**89 - 1), (2**89 - 1) ** 2,
+                               nextprime(_BOUND) * nextprime(2**40), 2**101 - 1])
+def test_is_prime_rejects_composites_above_the_miller_rabin_range(n):
+    # the bound itself is a strong pseudoprime to all 13 bases
+    assert not is_prime(n) and not isprime(n)
+
+
+def test_proof_on_n_minus_1_alone_decides_small_n(monkeypatch):
+    # with no Miller-Rabin bases, every n goes to the proof on n - 1; the
+    # Chernick numbers (6k+1)(12k+1)(18k+1), k = 1, 6, 35, 45, are Carmichael
+    # numbers, which pass a**(n-1) = 1 for every a prime to n
+    monkeypatch.setattr(divisors_module, "_WITNESSES", ())
+    monkeypatch.setattr(divisors_module, "_WITNESSES_EXACT_BELOW", 0)
+    for n in range(2, 3000):
+        assert is_prime(n) == is_prime_by_trial(n), n
+    for k in (1, 6, 35, 45):
+        assert not is_prime((6 * k + 1) * (12 * k + 1) * (18 * k + 1)), k
+    assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(_BOUND, 2**96))
+def test_is_prime_matches_sympy_above_the_miller_rabin_range(n):
+    assert is_prime(n) == isprime(n)
+
+
+@pytest.mark.parametrize("root, k", [(2**61 - 1, 2), (65537, 5), (2**31 - 1, 3),
+                                     ((2**31 - 1) * 65539, 2)])
+def test_divisor_list_splits_a_perfect_power_exactly(root, k):
+    # rho would need about sqrt(p) steps on p**k; an exact k-th root needs none
+    assert divisor_list(root**k) == tuple(divisors(root**k))
 
 
 def test_gamma_value_thresholds():

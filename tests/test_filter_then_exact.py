@@ -1,11 +1,15 @@
-"""Pinned count lines of the filtered sweeps.
+"""The one filter-then-exact loop that both filtered sweeps run through.
 
-Each case is one argv list run in-process through ``symprop.cli.main``,
-with its exit status, the sha256 of its stdout, and every stderr line that
-says how many cells the float filter decided and how many went to exact
-arithmetic.  The data was captured from the sweeps before their two
-filter-then-exact loops were merged into one, so a change to the filter
-or to the fallback that moves a single cell between the two shows here.
+The pins: each case is one argv list run in-process through
+``symprop.cli.main``, with its exit status, the sha256 of its stdout, and
+every stderr line that says how many cells the float filter decided and
+how many went to exact arithmetic.  The data was captured from the sweeps
+before their two filter-then-exact loops were merged into one, so a change
+to the filter or to the fallback that moves a single cell between the two
+shows here.
+
+The order: open cells reach the exact check one column at a time, in
+ascending degree, since a ProportionTable keeps one row.
 """
 
 from __future__ import annotations
@@ -13,10 +17,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from symprop import cli
+from symprop import bounds, cli, proportions
+from symprop.proportions import ProportionTable, filter_then_exact
 
 _THM2_DEFAULT = [
     "case 1: 996 of 996 cells decided by the float filter, 0 by exact arithmetic",
@@ -82,3 +89,37 @@ def test_count_lines_and_stdout_are_pinned(argv):
     assert lines == want_lines
     assert status == want_status
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want_sha
+
+
+def test_open_cells_go_to_exact_by_column_in_ascending_degree(monkeypatch):
+    monkeypatch.setattr(proportions, "ENCLOSURE_COLUMNS", 2)
+    blocks, calls, msgs = [], [], []
+
+    def open_cells(block):
+        blocks.append(list(block))
+        return [(i, n) for n in (9, 2) for i in reversed(range(len(block)))]
+
+    def exact(column, n):
+        calls.append((column, n))
+        return SimpleNamespace(passed=n == 2, at=(column, n))
+
+    failures = filter_then_exact("demo", "abcde", 50, open_cells, exact, msgs.append)
+    assert blocks == [["a", "b"], ["c", "d"], ["e"]]
+    assert calls == [(c, n) for c in "abcde" for n in (2, 9)]
+    assert [f.at for f in failures] == [(c, 9) for c in "abcde"]
+    assert msgs == ["demo: 40 of 50 cells decided by the float filter, 10 by exact arithmetic"]
+
+
+def test_theorem1_fallback_order_and_failures(monkeypatch):
+    # gamma lowered to 1/2 leaves 153 cells open, 152 of them failing
+    monkeypatch.setattr(bounds, "gamma_value", lambda m: Fraction(1, 2))
+    check, calls = bounds.check_prop_upper_bound, []
+
+    def recording(n, m, **kwargs):
+        calls.append((m, n))
+        return check(n, m, **kwargs)
+
+    monkeypatch.setattr(bounds, "check_prop_upper_bound", recording)
+    got = [(r.n, r.m) for r in bounds.sweep_prop_bound(5, 60, 3, table=ProportionTable())]
+    assert len(calls) == 153 and calls == sorted(set(calls))
+    assert len(got) == 152 and got == sorted(got)
