@@ -34,21 +34,20 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .divisors import C0_CUBED, divisor_list, divisor_rich_candidates, gamma_value
 from .enclosure import Interval, cbrt_enclosure, sqrt_enclosure
 from .proportions import (
-    ProportionTable,
     _arrangement_weights,
     _RelaxedEvaluator,
-    _table,
     filter_then_exact,
     prop_enclosure,
+    prop_order_dividing,
 )
-from .reports import BoundReport
+from .reports import BoundReport, note
 
 __all__ = [
     "prop_upper_bound",
@@ -77,10 +76,8 @@ def prop_upper_bound(n: int, m: int) -> Fraction:
     return Fraction(1, n) + gamma_value(m) * m / n**2
 
 
-def check_prop_upper_bound(
-    n: int, m: int, *, table: ProportionTable | None = None
-) -> BoundReport:
-    lhs = _table(table).prop(n, m)
+def check_prop_upper_bound(n: int, m: int) -> BoundReport:
+    lhs = prop_order_dividing(n, m)
     rhs = prop_upper_bound(n, m)
     return BoundReport("prop-upper", n, m, None, lhs, rhs, lhs <= rhs)
 
@@ -107,14 +104,7 @@ def _open_cells(tasks: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, in
     return zip(cols.tolist(), (rows + 1).tolist())
 
 
-def sweep_prop_bound(
-    n_lo: int = 5,
-    n_hi: int = 300,
-    m_multiplier: int = 3,
-    *,
-    table: ProportionTable | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> list[BoundReport]:
+def sweep_prop_bound(n_lo: int = 5, n_hi: int = 300, m_multiplier: int = 3) -> list[BoundReport]:
     """Check P(n,m) <= 1/n + gamma(m)m/n^2 for n_lo <= n <= n_hi and
     n-1 <= m <= m_multiplier*n.  Returns only the failures (expected none).
 
@@ -134,10 +124,9 @@ def sweep_prop_bound(
         if n_first <= n_last:
             tasks.append((m, n_first, n_last))
 
-    t = _table(table)
     failures = filter_then_exact(
         "bound sweep", tasks, sum(last - first + 1 for _, first, last in tasks), _open_cells,
-        lambda task, n: check_prop_upper_bound(n, task[0], table=t), progress)
+        lambda task, n: check_prop_upper_bound(n, task[0]))
     failures.sort(key=lambda r: (r.n, r.m))
     return failures
 
@@ -244,10 +233,7 @@ def majorant_moduli(m_max: int, include_candidates: bool = True) -> list[int]:
 
 
 def sweep_divisor_majorant(
-    m_max: int = 2000,
-    *,
-    include_candidates: bool = True,
-    progress: Callable[[str], None] | None = None,
+    m_max: int = 2000, *, include_candidates: bool = True
 ) -> list[BoundReport]:
     """Run the divisor-by-divisor check over ``majorant_moduli(m_max,
     include_candidates)``.
@@ -261,8 +247,8 @@ def sweep_divisor_majorant(
         rep = verify_shat_condition(m)
         if not rep.passed:
             failures.append(rep)
-        if progress is not None and (i + 1) % 2000 == 0:
-            progress(f"divisor majorant: {i + 1}/{len(ms)} values of m")
+        if (i + 1) % 2000 == 0:
+            note(f"divisor majorant: {i + 1}/{len(ms)} values of m")
     return failures
 
 

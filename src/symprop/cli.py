@@ -20,15 +20,15 @@ contracts with newline line endings (byte-stable across runs for equal
 arguments and seed), "json" mirrors the csv fields.  Each command builds
 its records and text lines and hands them to :func:`symprop.reports.emit`,
 the one writer of results; integers print with every digit at any size.
-Progress for long sweeps goes to stderr, never stdout, and so does the
-count of cells the float filter decided in verify-thm1 and table-mode
-verify-thm2.
+The library calls a command makes build the proportion rows they read.
+Progress for long sweeps goes to stderr, never stdout, through
+:func:`symprop.reports.note`, and so does the count of cells the float
+filter decided in verify-thm1 and table-mode verify-thm2.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 import traceback
 from fractions import Fraction
 from itertools import chain
@@ -45,7 +45,8 @@ from .bounds import (
 )
 from .divisors import applicable_variants, check_divisor_count_bound, divisor_list
 from .divisors import gamma_value, sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
-from .proportions import ProportionTable, prop_alternating, prop_split
+from .proportions import prop_alternating, prop_order_dividing, prop_order_dividing_signed
+from .proportions import prop_split
 from .recognition import TABLE2_EXCEPTIONS, _inadmissible, case_params, cond_prob
 from .recognition import sweep_theorem2, verify_theorem2
 from .reports import BoundReport, CondProbReport, cell, emit, exact, frac, value
@@ -55,10 +56,6 @@ from .sampler import estimate_case_event, estimate_order_divides, search_cost_si
 _THM2_DEFAULT_HI = {1: 1000, 4: 1000, 5: 1000}
 _THM2_FALLBACK_HI = 300
 _VALUE_COLUMNS = ("n", "m", "kind", "numerator", "denominator", "decimal")
-
-
-def _progress(msg: str) -> None:
-    print(msg, file=sys.stderr, flush=True)
 
 
 def _emit_bounds(args: argparse.Namespace, reports: Sequence[BoundReport],
@@ -83,18 +80,18 @@ def _emit_flat(args: argparse.Namespace, rec: dict, lines: Sequence[str]) -> Non
 
 
 def cmd_prop(args: argparse.Namespace) -> int:
-    x = ProportionTable().prop(args.n, args.m, signed=args.signed)
+    x = (prop_order_dividing_signed if args.signed else prop_order_dividing)(args.n, args.m)
     _emit_value(args, "prop-signed" if args.signed else "prop", x)
     return 0
 
 
 def cmd_alt_prop(args: argparse.Namespace) -> int:
-    _emit_value(args, "alt", prop_alternating(args.n, args.m, table=ProportionTable()))
+    _emit_value(args, "alt", prop_alternating(args.n, args.m))
     return 0
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    part = prop_split(args.n, args.m, table=ProportionTable())
+    part = prop_split(args.n, args.m)
     parts = {**part._asdict(), "total": part.total}
     emit(
         args.format,
@@ -111,10 +108,9 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    table = ProportionTable()
-    reports = [check_prop_upper_bound(args.n, args.m, table=table)]
+    reports = [check_prop_upper_bound(args.n, args.m)]
     if args.m in (args.n - 1, args.n):
-        x = table.prop(args.n, args.m)
+        x = reports[0].lhs
         near = prop_upper_bound_near(args.n, args.m)
         reports.append(BoundReport("prop-upper-near", args.n, args.m, None, x, near, x <= near))
     _emit_bounds(args, reports)
@@ -133,10 +129,8 @@ def cmd_divisors(args: argparse.Namespace) -> int:
 
 def cmd_lemma_check(args: argparse.Namespace) -> int:
     containment = 11_793_600 if args.full else None
-    failures = sweep_divisor_count_bounds(
-        args.limit, containment_limit=containment, progress=_progress
-    )
-    failures += sweep_quadratic_divisor_sums(args.pairs_max, progress=_progress)
+    failures = sweep_divisor_count_bounds(args.limit, containment_limit=containment)
+    failures += sweep_quadratic_divisor_sums(args.pairs_max)
     scope = f"counts to {args.limit}" + (f", containment to {containment}" if containment else "")
     _emit_bounds(args, failures, head=[
         f"divisor lemmas ({scope}; quadratic sums to n={args.pairs_max}): "
@@ -148,9 +142,7 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_thm1(args: argparse.Namespace) -> int:
-    failures = sweep_prop_bound(
-        args.n_lo, args.n_hi, args.m_mult, table=ProportionTable(), progress=_progress
-    )
+    failures = sweep_prop_bound(args.n_lo, args.n_hi, args.m_mult)
     _emit_bounds(args, failures, head=[
         f"proportion bound, {args.n_lo} <= n <= {args.n_hi}, "
         f"n-1 <= m <= {args.m_mult}*n: {len(failures)} failures"])
@@ -160,9 +152,7 @@ def cmd_verify_thm1(args: argparse.Namespace) -> int:
 def cmd_verify_shat(args: argparse.Namespace) -> int:
     m_max = 19020 if args.full else args.m_max
     with_candidates = not args.no_candidates
-    failures = sweep_divisor_majorant(
-        m_max, include_candidates=with_candidates, progress=_progress
-    )
+    failures = sweep_divisor_majorant(m_max, include_candidates=with_candidates)
     got = sorted(r.m for r in failures)
     expected = sorted(EXPECTED_MAJORANT_FAILURES.intersection(
         majorant_moduli(m_max, with_candidates)))
@@ -186,7 +176,6 @@ def _thm2_windows(args: argparse.Namespace) -> list[tuple[int, int, int]]:
 
 
 def cmd_verify_thm2(args: argparse.Namespace) -> int:
-    table = ProportionTable()
     ranges = _thm2_windows(args)
     cases = [cid for cid, _, _ in ranges]
     failures: list[CondProbReport] = []
@@ -194,7 +183,7 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
     def every_degree() -> Iterator[dict]:
         # csv and json carry every degree, so each one is computed exactly
         for cid, lo, hi in ranges:
-            for rep in verify_theorem2(cid, lo, hi, table=table, progress=_progress):
+            for rep in verify_theorem2(cid, lo, hi):
                 if not rep.passed:
                     failures.append(rep)
                 yield rep.record()
@@ -203,7 +192,7 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
         # the table lists only the failures, so the float filter may pass the rest
         degrees = 0
         for cid, lo, hi in ranges:
-            count, bad = sweep_theorem2(cid, lo, hi, table=table, progress=_progress)
+            count, bad = sweep_theorem2(cid, lo, hi)
             degrees += count
             failures.extend(bad)
         yield (f"conditional floors over cases {cases}: "
@@ -216,8 +205,7 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    table = ProportionTable()
-    reports = [cond_prob(case_params(cid, n), table=table) for cid, n in sorted(TABLE2_EXCEPTIONS)]
+    reports = [cond_prob(case_params(cid, n)) for cid, n in sorted(TABLE2_EXCEPTIONS)]
     emit(args.format, CondProbReport.columns, (r.record() for r in reports),
          (r.line() for r in reports))
     return 0 if all(r.passed for r in reports) else 1
@@ -227,16 +215,11 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    table = ProportionTable()
     if args.m is not None:
-        st = estimate_order_divides(
-            args.n, args.m, args.trials, seed=args.seed, group=args.group, table=table
-        )
+        st = estimate_order_divides(args.n, args.m, args.trials, seed=args.seed, group=args.group)
         fields = {"kind": "order-divides", "n": args.n, "m": args.m, "group": args.group}
     else:
-        st = estimate_case_event(
-            args.case, args.n, args.event, args.trials, seed=args.seed, table=table
-        )
+        st = estimate_case_event(args.case, args.n, args.event, args.trials, seed=args.seed)
         fields = {"kind": f"case-event-{args.event}", "n": args.n, "case": args.case}
     verdict = st.within_sigma(4)
     label = " ".join(f"{k}={v}" for k, v in fields.items())
@@ -250,8 +233,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_search_sim(args: argparse.Namespace) -> int:
-    st = search_cost_sim(args.case, args.episodes, n=args.n, seed=args.seed,
-                         table=ProportionTable())
+    st = search_cost_sim(args.case, args.episodes, n=args.n, seed=args.seed)
     mean_ok = st.mean_within_sigma(4)
     cond_ok = st.cond_within_sigma(4)
     expected_mean = 1 / st.target_exact

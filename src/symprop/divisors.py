@@ -13,9 +13,10 @@ and a reported pass is a proof for that n.  The one-n check and the sieve
 sweep both read that table.
 
 Also provided: the step function ``gamma_value`` used by the proportion bounds,
-the per-prime factors ``(alpha+1)/p**(alpha/3)`` that drive the cube-root
-constants, the explicit finite set of candidate exceptions to the refined
-bound, a quadratic divisor-sum inequality, and the module's one primality
+the exact per-prime factors ``(alpha+1)**3/p**alpha`` whose products over
+primes are the cube-root constants, the explicit finite set of candidate
+exceptions to the refined bound, a quadratic divisor-sum inequality, and
+the module's one primality
 test, :func:`is_prime`: Miller-Rabin on the first 13 primes, which is exact
 below 3.3e24, and above that a proof on the completely factored n - 1.
 """
@@ -31,14 +32,14 @@ from typing import Callable
 
 import numpy as np
 
-from .enclosure import Interval, cbrt_enclosure, integer_nth_root
-from .reports import BoundReport
+from .enclosure import integer_nth_root
+from .reports import BoundReport, note
 
 __all__ = [
     "divisor_list",
     "gamma_value",
     "peak_exponent",
-    "divisor_ratio_factor",
+    "divisor_ratio_cube",
     "is_prime",
     "COUNT_BOUNDS",
     "CUBE_CONSTANTS",
@@ -216,12 +217,11 @@ def peak_exponent(p: int) -> int:
     return best
 
 
-def divisor_ratio_factor(p: int, alpha: int, digits: int = 30) -> Interval:
-    """Enclosure of (alpha+1)/p**(alpha/3), the per-prime factor of d(n)/n^(1/3)."""
+def divisor_ratio_cube(p: int, alpha: int) -> Fraction:
+    """(alpha+1)**3/p**alpha, the cube of the per-prime factor of d(n)/n^(1/3)."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    # (alpha+1)/p**(alpha/3) = cbrt((alpha+1)**3 / p**alpha)
-    return cbrt_enclosure(Fraction((alpha + 1) ** 3, p**alpha), digits)
+    return Fraction((alpha + 1) ** 3, p**alpha)
 
 
 # variant -> (k, C**k, covers): d(n)**k <= C**k * n for every n that covers
@@ -322,9 +322,7 @@ def check_quadratic_divisor_sum(n: int, a: int, b: int) -> BoundReport:
     )
 
 
-def sweep_quadratic_divisor_sums(
-    n_max: int, progress: Callable[[str], None] | None = None
-) -> list[BoundReport]:
+def sweep_quadratic_divisor_sums(n_max: int) -> list[BoundReport]:
     """Exhaustively check the quadratic divisor-sum bound for all
     1 <= a <= b <= n <= n_max.  Returns the failures (expected empty).
 
@@ -344,8 +342,8 @@ def sweep_quadratic_divisor_sums(
             for i, a in enumerate(divs[: j + 1]):
                 if prefix[j + 1] - prefix[i] > (b - 1) * (b - 2) + n * (b - a):
                     failures.append(check_quadratic_divisor_sum(n, a, b))
-        if progress is not None and n % 500 == 0:
-            progress(f"quadratic divisor sums: n={n}/{n_max}")
+        if n % 500 == 0:
+            note(f"quadratic divisor sums: n={n}/{n_max}")
     return failures
 
 
@@ -372,9 +370,7 @@ SWEEP_BLOCK = 1 << 20
 
 
 def sweep_divisor_count_bounds(
-    limit: int = 1_000_000,
-    containment_limit: int | None = None,
-    progress: Callable[[str], None] | None = None,
+    limit: int = 1_000_000, containment_limit: int | None = None
 ) -> list[BoundReport]:
     """Sieve d(n) and check every variant bound for all n up to ``limit``.
 
@@ -386,8 +382,7 @@ def sweep_divisor_count_bounds(
     """
     top = max(limit, containment_limit or 0)
     hi = containment_limit if containment_limit is not None else limit
-    if progress is not None:
-        progress(f"sieving divisor counts to {top}")
+    note(f"sieving divisor counts to {top}")
     counts = divisor_count_sieve(top)
     upto = {variant: hi if variant == "c0" else limit for variant in COUNT_BOUNDS}
     above: dict[str, list[int]] = {variant: [] for variant in COUNT_BOUNDS}
@@ -404,10 +399,7 @@ def sweep_divisor_count_bounds(
     failures = [check_divisor_count_bound(k, variant)
                 for variant, ns in above.items() for k in ns]
     failures += [check_divisor_count_bound(k, "c0") for k in stray]
-    if progress is not None:
-        progress(
-            f"checked n <= {limit} (containment to {hi}): "
-            f"{len(failures)} failure(s), {len(viol)} refined-bound violations all "
-            + ("listed" if not stray else "NOT all listed")
-        )
+    note(f"checked n <= {limit} (containment to {hi}): "
+         f"{len(failures)} failure(s), {len(viol)} refined-bound violations all "
+         + ("listed" if not stray else "NOT all listed"))
     return failures

@@ -79,6 +79,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .divisors import divisor_list
+from .reports import note
 
 __all__ = [
     "CycleType",
@@ -273,24 +274,17 @@ class ProportionTable:
         self._grow(m, signed, upto)
 
 
-def _table(table: ProportionTable | None) -> ProportionTable:
-    """The table to use: the caller's, or a fresh one for this call alone."""
-    return ProportionTable() if table is None else table
-
-
-def prop_order_dividing(n: int, m: int, *, table: ProportionTable | None = None) -> Fraction:
+def prop_order_dividing(n: int, m: int) -> Fraction:
     """Proportion of S_n whose element orders divide m (n <= 0 gives 1)."""
-    return _table(table).prop(n, m)
+    return ProportionTable().prop(n, m)
 
 
-def prop_order_dividing_signed(
-    n: int, m: int, *, table: ProportionTable | None = None
-) -> Fraction:
+def prop_order_dividing_signed(n: int, m: int) -> Fraction:
     """Signed version: each permutation weighted by its sign before averaging."""
-    return _table(table).prop(n, m, signed=True)
+    return ProportionTable().prop(n, m, signed=True)
 
 
-def prop_alternating(n: int, m: int, *, table: ProportionTable | None = None) -> Fraction:
+def prop_alternating(n: int, m: int) -> Fraction:
     """Proportion of A_n whose element orders divide m; needs n >= 2.
 
     Averaging 1 + sign(g) over S_n keeps exactly the even permutations,
@@ -299,7 +293,7 @@ def prop_alternating(n: int, m: int, *, table: ProportionTable | None = None) ->
     """
     if n < 2:
         raise ValueError("alternating-group proportion needs n >= 2")
-    t = _table(table)
+    t = ProportionTable()
     return Fraction(t.count(n, m, signed=True) + t.count(n, m), factorial(n))
 
 
@@ -385,15 +379,15 @@ def filter_then_exact(
     cells: int,
     open_cells: Callable[[Sequence[Column]], Iterable[tuple[int, int]]],
     exact: Callable[[Column, int], Report],
-    progress: Callable[[str], None] | None = None,
 ) -> list[Report]:
     """The failing reports of a sweep over ``cells`` cells, float filter first.
 
     ``open_cells`` encloses a block of at most ENCLOSURE_COLUMNS columns with
     :func:`prop_enclosure` and names the cells it cannot pass, as (index in
     the block, degree).  Only those get ``exact(column, degree)``, a column
-    at a time in ascending degree, so a ProportionTable's one row only grows.
-    ``progress`` gets one line with the count of each.
+    at a time in ascending degree, so the order of the exact checks does not
+    depend on the order ``open_cells`` names them in.  One :func:`note`
+    gives the count of each.
     """
     failures: list[Report] = []
     sent = 0
@@ -404,9 +398,8 @@ def filter_then_exact(
             report = exact(block[i], n)
             if not report.passed:
                 failures.append(report)
-    if progress is not None:
-        progress(f"{label}: {cells - sent} of {cells} cells decided by the float filter, "
-                 f"{sent} by exact arithmetic")
+    note(f"{label}: {cells - sent} of {cells} cells decided by the float filter, "
+         f"{sent} by exact arithmetic")
     return failures
 
 
@@ -447,7 +440,7 @@ def _arrangement_weights(divs: Sequence[int], n: int) -> tuple[list[int], list[i
     return one, two, three
 
 
-def prop_split(n: int, m: int, *, table: ProportionTable | None = None) -> SplitProportions:
+def prop_split(n: int, m: int) -> SplitProportions:
     """Split P(n, m) by the cycle arrangement of three marked points.
 
     With divisors d of m as admissible cycle lengths:
@@ -462,7 +455,7 @@ def prop_split(n: int, m: int, *, table: ProportionTable | None = None) -> Split
         raise ValueError("the split needs n >= 3")
     if m < 1:
         raise ValueError("m must be positive")
-    t = _table(table)
+    t = ProportionTable()
     t.ensure(m, n - 3)  # every weight sits at s >= 3, so the parts read P(j, m), j <= n - 3
     row, scale = t._rows[0], t._scale
     p1, p2, p3 = (sum(w * row[n - s] for s, w in enumerate(weights) if w)

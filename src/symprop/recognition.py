@@ -51,20 +51,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import inf
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .divisors import divisor_list, gamma_value
 from .proportions import (
     CycleType,
-    ProportionTable,
-    _table,
     filter_then_exact,
     prop_alternating,
     prop_enclosure,
+    prop_order_dividing,
 )
-from .reports import BoundReport, CondProbReport
+from .reports import BoundReport, CondProbReport, note
 
 __all__ = [
     "CaseSpec",
@@ -229,13 +228,10 @@ def _b_moduli(spec: CaseSpec) -> tuple[int, ...]:
     return (spec.r,) if spec.power_order == 1 else (spec.order_bound, spec.r)
 
 
-def prob_B(spec: CaseSpec, *, table: ProportionTable | None = None) -> Fraction:
+def prob_B(spec: CaseSpec) -> Fraction:
     """Exact probability of the power condition in ``calc_group``."""
-    t = _table(table)
-    if spec.calc_group == "A":
-        terms = [prop_alternating(spec.n, m, table=t) for m in _b_moduli(spec)]
-    else:
-        terms = [t.prop(spec.n, m) for m in _b_moduli(spec)]
+    prop = prop_alternating if spec.calc_group == "A" else prop_order_dividing
+    terms = [prop(spec.n, m) for m in _b_moduli(spec)]
     return terms[0] - sum(terms[1:])
 
 
@@ -264,10 +260,10 @@ def lower_bound_for(spec: CaseSpec) -> Fraction:
     return _FLOOR_EXCEPTIONS.get((spec.case_id, spec.n), _FAMILIES[spec.case_id].floor)
 
 
-def cond_prob(spec: CaseSpec, *, table: ProportionTable | None = None) -> CondProbReport:
+def cond_prob(spec: CaseSpec) -> CondProbReport:
     """P(A | B) = P(A)/P(B) with the floor check folded in."""
     p_a = prob_A(spec)
-    p_b = prob_B(spec, table=table)
+    p_b = prob_B(spec)
     if p_b == 0:
         raise ZeroDivisionError(f"event B impossible for case {spec.case_id}, n = {spec.n}")
     quotient = p_a / p_b
@@ -304,32 +300,24 @@ def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
     return value >= lower_bound_for(spec) and check_n23_bound(spec, value).passed
 
 
-def _exact_report(spec: CaseSpec, table: ProportionTable) -> CondProbReport:
+def _exact_report(spec: CaseSpec) -> CondProbReport:
     """The exact conditional; it passes only if both floors hold."""
-    rep = cond_prob(spec, table=table)
+    rep = cond_prob(spec)
     return replace(rep, passed=_floors_hold(spec, rep.p_A_given_B))
 
 
-def verify_theorem2(
-    case_id: int,
-    n_lo: int,
-    n_hi: int,
-    *,
-    table: ProportionTable | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> list[CondProbReport]:
+def verify_theorem2(case_id: int, n_lo: int, n_hi: int) -> list[CondProbReport]:
     """Exact conditionals for every admissible degree in [n_lo, n_hi].
 
     Each report's pass flag requires both the absolute floor and the
     n^(2/3)-shaped floor.  Reports come back sorted by degree.
     """
-    t = _table(table)
     out: list[CondProbReport] = []
     degrees = list(admissible_degrees(case_id, n_lo, n_hi))
     for i, n in enumerate(degrees):
-        out.append(_exact_report(case_params(case_id, n), t))
-        if progress is not None and (i + 1) % 50 == 0:
-            progress(f"case {case_id}: {i + 1}/{len(degrees)} degrees")
+        out.append(_exact_report(case_params(case_id, n)))
+        if (i + 1) % 50 == 0:
+            note(f"case {case_id}: {i + 1}/{len(degrees)} degrees")
     return out
 
 
@@ -357,14 +345,7 @@ def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[tuple[int, int]]:
             yield i, spec.n
 
 
-def sweep_theorem2(
-    case_id: int,
-    n_lo: int,
-    n_hi: int,
-    *,
-    table: ProportionTable | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[int, list[CondProbReport]]:
+def sweep_theorem2(case_id: int, n_lo: int, n_hi: int) -> tuple[int, list[CondProbReport]]:
     """The verdicts of :func:`verify_theorem2`, filter first.
 
     Returns the number of admissible degrees in [n_lo, n_hi] and the exact
@@ -373,10 +354,9 @@ def sweep_theorem2(
     :func:`_open_degrees` passes what the float enclosure of P(B) certifies,
     and the rest get the exact check; both judge by :func:`_floors_hold`.
     """
-    t = _table(table)
     specs = [case_params(case_id, n) for n in admissible_degrees(case_id, n_lo, n_hi)]
     failures = filter_then_exact(f"case {case_id}", specs, len(specs), _open_degrees,
-                                 lambda spec, n: _exact_report(spec, t), progress)
+                                 lambda spec, n: _exact_report(spec))
     return len(specs), failures
 
 

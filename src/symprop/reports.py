@@ -1,4 +1,4 @@
-"""Report records and the one writer of results.
+"""Report records, the one writer of results and the one writer of notes.
 
 Every check in this package resolves to exact rational arithmetic before a
 pass/fail verdict is recorded, so reports carry :class:`fractions.Fraction`
@@ -8,7 +8,8 @@ Every result reaches stdout through :func:`emit`, in one of three formats:
 "csv" (the given columns over records, newline line endings, bools as 1/0,
 None as an empty field), "json" (indent 2, trailing newline) or "table"
 (prepared text lines).  Numerators and denominators are rendered by
-:func:`digits`, which prints every digit at any size.
+:func:`digits`, which prints every digit at any size.  Progress and count
+lines of the sweeps reach stderr through :func:`note`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, ClassVar, Iterable, Mapping
+
+
+def note(msg: str) -> None:
+    """Write one progress or count line to stderr, never stdout.
+
+    ``sys.stderr`` is looked up at each call, so a redirection made after
+    import (``contextlib.redirect_stderr``) catches the line.
+    """
+    print(msg, file=sys.stderr, flush=True)
 
 
 def digits(k: int) -> str:

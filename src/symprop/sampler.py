@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .proportions import CycleType, ProportionTable, _table, prop_alternating
+from .proportions import CycleType, prop_alternating, prop_order_dividing
 from .recognition import CaseSpec, case_params, cond_prob, prob_A, prob_B
 
 __all__ = [
@@ -206,7 +206,6 @@ def estimate_order_divides(
     *,
     seed: np.random.Generator | int | None = None,
     group: str = "S",
-    table: ProportionTable | None = None,
 ) -> SampleStats:
     """Empirical frequency of g**m = 1 in S_n or A_n, with exact target."""
     if trials < 1:
@@ -217,8 +216,7 @@ def estimate_order_divides(
     divides = np.array([d > 0 and m % d == 0 for d in range(n + 1)])
     hits = sum(int(divides[lengths].all(axis=1).sum())
                for lengths in _sample_batches(seed, n, trials, group))
-    t = _table(table)
-    target = prop_alternating(n, m, table=t) if group == "A" else t.prop(n, m)
+    target = (prop_alternating if group == "A" else prop_order_dividing)(n, m)
     return SampleStats.from_counts(trials, hits, target)
 
 
@@ -229,7 +227,6 @@ def estimate_case_event(
     trials: int,
     *,
     seed: np.random.Generator | int | None = None,
-    table: ProportionTable | None = None,
 ) -> SampleStats:
     """Empirical frequency of event A or B of a family, exact target attached.
 
@@ -243,7 +240,7 @@ def estimate_case_event(
     spec = case_params(case_id, n)
     hits = sum(int(_event_mask(spec, event, lengths).sum())
                for lengths in _sample_batches(seed, n, trials, spec.calc_group))
-    target = prob_A(spec) if event == "A" else prob_B(spec, table=table)
+    target = prob_A(spec) if event == "A" else prob_B(spec)
     return SampleStats.from_counts(trials, hits, target)
 
 
@@ -267,14 +264,14 @@ def estimate_predicate(
 
 
 def search_cost_sim(
-    spec: CaseSpec | int,
+    case_id: int,
     episodes: int,
     *,
-    n: int | None = None,
+    n: int,
     seed: np.random.Generator | int | None = None,
-    table: ProportionTable | None = None,
 ) -> SearchStats:
-    """Simulate drawing random elements until one has the target type.
+    """Simulate drawing random elements of family ``case_id`` at degree n
+    until one has the target type.
 
     Each episode draws from the family's computation group until the
     exact target type appears; every draw is also put through the cheap
@@ -286,10 +283,7 @@ def search_cost_sim(
     Draws come _BATCH at a time but are counted one by one up to the
     last hit, so a Generator passed as `seed` ends up advanced further.
     """
-    if isinstance(spec, int):
-        if n is None:
-            raise ValueError("give n when passing a bare case id")
-        spec = case_params(spec, n)
+    spec = case_params(case_id, n)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     draws = b_hits = 0
@@ -303,7 +297,7 @@ def search_cost_sim(
         if not need:
             break
     p_a = prob_A(spec)
-    cond = cond_prob(spec, table=table).p_A_given_B
+    cond = cond_prob(spec).p_A_given_B
     est = Fraction(episodes, draws)
     se = sqrt(float(est * (1 - est)) / draws)
     return SearchStats(draws, episodes, est, se, p_a, b_hits, cond)

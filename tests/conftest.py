@@ -13,6 +13,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 @pytest.fixture(scope="module")
 def table() -> ProportionTable:
-    """One table per test module: the row it keeps is shared within a module
-    only, so no test's cost depends on which modules ran before it."""
+    """One table per test module, for the tests that query ``ProportionTable``
+    directly; the public functions build the rows they read.  The row it
+    keeps is shared within a module only, so no test's cost depends on which
+    modules ran before it."""
     return ProportionTable()

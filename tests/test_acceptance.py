@@ -78,14 +78,14 @@ def test_criterion_03_split_identity(table, capsys):
         (n, m)
         for n in range(3, 41)
         for m in range(1, 3 * n + 1)
-        if prop_split(n, m, table=table).total != table.prop(n, m)
+        if prop_split(n, m).total != table.prop(n, m)
     ]
     _report(capsys, 3, not bad)
     assert not bad, bad[:10]
 
 
-def test_criterion_04_proportion_bound_sweep(table, capsys):
-    failures = sweep_prop_bound(5, 300, 3, table=table)
+def test_criterion_04_proportion_bound_sweep(capsys):
+    failures = sweep_prop_bound(5, 300, 3)
     _report(capsys, 4, not failures)
     assert failures == []
 
@@ -101,14 +101,14 @@ def test_criterion_05_divisor_majorant_step(capsys):
     assert all(r.passed for r in direct)
 
 
-def test_criterion_06_half_floor_families(table, capsys):
+def test_criterion_06_half_floor_families(capsys):
     # the abstract: an n-cycle given x**n = 1 has probability greater than
     # 2/7, and greater than 1/2 if n does not divide 24; a tie is bad
     divides_24 = {n for n in range(5, 25) if 24 % n == 0}
     assert CASE1_WEAK_NS == divides_24
     bad: list[tuple] = []
     for n in range(5, 501):
-        value = cond_prob(case_params(1, n), table=table).p_A_given_B
+        value = cond_prob(case_params(1, n)).p_A_given_B
         floor = Fraction(2, 7) if n in divides_24 else Fraction(1, 2)
         if value <= floor:
             bad.append((1, n, value))
@@ -116,18 +116,18 @@ def test_criterion_06_half_floor_families(table, capsys):
             bad.append((1, 5, "anchor", value))
     for cid in (4, 5):
         for n in admissible_degrees(cid, 5, 500):
-            value = cond_prob(case_params(cid, n), table=table).p_A_given_B
+            value = cond_prob(case_params(cid, n)).p_A_given_B
             if value < Fraction(1, 2):
                 bad.append((cid, n, value))
     _report(capsys, 6, not bad)
     assert not bad, bad[:6]
 
 
-def test_criterion_07_third_floor_families(table, capsys):
+def test_criterion_07_third_floor_families(capsys):
     bad: list[tuple] = []
     for cid in (2, 3):
         for n in admissible_degrees(cid, 8, 300):
-            value = cond_prob(case_params(cid, n), table=table).p_A_given_B
+            value = cond_prob(case_params(cid, n)).p_A_given_B
             floor = Fraction(1, 4) if n in (11, 17, 18) else THIRD
             if value < floor:
                 bad.append((cid, n, value))
@@ -135,7 +135,7 @@ def test_criterion_07_third_floor_families(table, capsys):
     assert not bad, bad[:6]
 
 
-def test_criterion_08_exceptional_floor_table(table, capsys):
+def test_criterion_08_exceptional_floor_table(capsys):
     # the listed degree 185 is not a family-10 degree (185 = 5 mod 6);
     # the listed cycle length 80 forces n = 80 + 5 = 85, the unique
     # admissible degree with that r
@@ -150,7 +150,7 @@ def test_criterion_08_exceptional_floor_table(table, capsys):
     reports = {}
     for cid in (6, 7, 8, 9, 10):
         for n in admissible_degrees(cid, 8, 300):
-            reports[cid, n] = cond_prob(case_params(cid, n), table=table)
+            reports[cid, n] = cond_prob(case_params(cid, n))
     violations = {
         key for key, rep in reports.items() if rep.p_A_given_B < floors.get(key, THIRD)
     }
@@ -181,14 +181,14 @@ def test_criterion_09_divisor_lemmas(capsys):
     assert quad_failures == []
 
 
-def test_criterion_10_stochastic_cross_check(table, capsys):
+def test_criterion_10_stochastic_cross_check(capsys):
     trials = 1_000_000
     checks = [
-        estimate_order_divides(10, 10, trials, seed=101, table=table),
-        estimate_order_divides(20, 19, trials, seed=102, table=table),
-        estimate_case_event(2, 9, "B", trials, seed=103, table=table),
+        estimate_order_divides(10, 10, trials, seed=101),
+        estimate_order_divides(20, 19, trials, seed=102),
+        estimate_case_event(2, 9, "B", trials, seed=103),
     ]
-    sim = search_cost_sim(1, 10_000, n=10, seed=104, table=table)
+    sim = search_cost_sim(1, 10_000, n=10, seed=104)
     ok = all(st.within_sigma(4) for st in checks)
     ok = ok and sim.target_exact == Fraction(1, 10) and sim.mean_within_sigma(4)
     _report(capsys, 10, bool(ok))

@@ -27,12 +27,12 @@ def test_upper_bound_values():
         prop_upper_bound(10, 8)
 
 
-def test_check_at_small_degrees(table):
-    rep = check_prop_upper_bound(5, 4, table=table)
+def test_check_at_small_degrees():
+    rep = check_prop_upper_bound(5, 4)
     assert rep.passed
     assert rep.lhs == Fraction(7, 15)
     # out of the sweep window but the inequality still holds
-    rep = check_prop_upper_bound(4, 3, table=table)
+    rep = check_prop_upper_bound(4, 3)
     assert rep.passed
     assert rep.lhs == Fraction(3, 8)
     assert Fraction(3, 8) < Fraction(1, 4) + Fraction(3345, 1000) * 3 / 16

@@ -12,13 +12,14 @@ from oracles import divisors_by_trial, is_prime_by_trial, quad_divisor_excess
 from symprop import divisors as divisors_module
 from symprop.divisors import (
     C0_CUBED,
+    COUNT_BOUNDS,
     CUBE_CONSTANTS,
     applicable_variants,
     check_divisor_count_bound,
     check_quadratic_divisor_sum,
     divisor_count_sieve,
     divisor_list,
-    divisor_ratio_factor,
+    divisor_ratio_cube,
     divisor_rich_candidates,
     gamma_value,
     is_divisor_rich_candidate,
@@ -148,22 +149,39 @@ def test_peak_exponents():
 
 
 def test_ratio_factor_identity():
-    box = divisor_ratio_factor(17, 0)
-    assert box.lo == box.hi == 1
+    assert divisor_ratio_cube(17, 0) == 1
+    assert divisor_ratio_cube(2, 3) == 8
 
 
 def test_cube_constant_encloses_c0():
     # the refined constant comes from the factor product with the power
     # of two pushed to exponent 7 instead of its peak at 3
-    prod = (
-        divisor_ratio_factor(2, 7)
-        * divisor_ratio_factor(3, 2)
-        * divisor_ratio_factor(5, 1)
-        * divisor_ratio_factor(7, 1)
-    )
-    cube = prod * prod * prod
-    assert cube.lo <= C0_CUBED <= cube.hi
-    assert CUBE_CONSTANTS["c0"] == Fraction(768, 35)
+    cube = (divisor_ratio_cube(2, 7) * divisor_ratio_cube(3, 2)
+            * divisor_ratio_cube(5, 1) * divisor_ratio_cube(7, 1))
+    assert cube == C0_CUBED == CUBE_CONSTANTS["c0"] == Fraction(768, 35)
+
+
+# variant -> (k, exponents of 2 allowed, exponents of 3 allowed, published C**k)
+_EXPONENT_RULES = {
+    "half": (2, range(40), range(40), Fraction(3)),
+    "third": (3, range(40), range(40), Fraction(1536, 35)),
+    "odd": (3, range(1), range(40), Fraction(192, 35)),
+    "no9": (3, range(40), range(2), Fraction(4096, 105)),
+    "odd-no9": (3, range(1), range(2), Fraction(512, 105)),
+    "c0": (3, range(7, 40), range(40), Fraction(768, 35)),
+}
+
+
+@pytest.mark.parametrize("variant", list(_EXPONENT_RULES))
+def test_count_bound_constant_is_the_product_of_per_prime_peaks(variant):
+    # C**k = prod over p <= 13 of max_a (a+1)**k / p**a, a ranging over the
+    # exponents the variant allows; every prime above 13 peaks at a = 0
+    k, twos, threes, published = _EXPONENT_RULES[variant]
+    allowed = {2: twos, 3: threes}
+    product = Fraction(1)
+    for p in (2, 3, 5, 7, 11, 13):
+        product *= max(Fraction((a + 1) ** k, p**a) for a in allowed.get(p, range(40)))
+    assert product == COUNT_BOUNDS[variant][1] == published
 
 
 def test_count_bound_variants():
@@ -261,11 +279,11 @@ def test_count_bound_records_are_pinned():
     assert digest == "003f54934bc4af80583a10da915522e912f5cce5141f2ea34379b37739af5f3b"
 
 
-def test_count_bound_sweep_is_pinned():
+def test_count_bound_sweep_is_pinned(capsys):
     # the return value and the progress lines, captured with the records above
-    lines: list[str] = []
-    failures = sweep_divisor_count_bounds(20_000, containment_limit=200_000,
-                                          progress=lines.append)
+    capsys.readouterr()
+    failures = sweep_divisor_count_bounds(20_000, containment_limit=200_000)
+    lines = capsys.readouterr().err.splitlines()
     digest = hashlib.sha256(json.dumps(
         {"failures": [r.record() for r in failures], "progress": lines},
         sort_keys=True).encode()).hexdigest()

@@ -9,7 +9,7 @@ to the filter or to the fallback that moves a single cell between the two
 shows here.
 
 The order: open cells reach the exact check one column at a time, in
-ascending degree, since a ProportionTable keeps one row.
+ascending degree, whatever order the filter names them in.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 from symprop import bounds, cli, proportions
-from symprop.proportions import ProportionTable, filter_then_exact
+from symprop.proportions import filter_then_exact
 
 _THM2_DEFAULT = [
     "case 1: 996 of 996 cells decided by the float filter, 0 by exact arithmetic",
@@ -91,9 +91,9 @@ def test_count_lines_and_stdout_are_pinned(argv):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want_sha
 
 
-def test_open_cells_go_to_exact_by_column_in_ascending_degree(monkeypatch):
+def test_open_cells_go_to_exact_by_column_in_ascending_degree(monkeypatch, capsys):
     monkeypatch.setattr(proportions, "ENCLOSURE_COLUMNS", 2)
-    blocks, calls, msgs = [], [], []
+    blocks, calls = [], []
 
     def open_cells(block):
         blocks.append(list(block))
@@ -103,7 +103,8 @@ def test_open_cells_go_to_exact_by_column_in_ascending_degree(monkeypatch):
         calls.append((column, n))
         return SimpleNamespace(passed=n == 2, at=(column, n))
 
-    failures = filter_then_exact("demo", "abcde", 50, open_cells, exact, msgs.append)
+    failures = filter_then_exact("demo", "abcde", 50, open_cells, exact)
+    msgs = capsys.readouterr().err.splitlines()
     assert blocks == [["a", "b"], ["c", "d"], ["e"]]
     assert calls == [(c, n) for c in "abcde" for n in (2, 9)]
     assert [f.at for f in failures] == [(c, 9) for c in "abcde"]
@@ -120,6 +121,6 @@ def test_theorem1_fallback_order_and_failures(monkeypatch):
         return check(n, m, **kwargs)
 
     monkeypatch.setattr(bounds, "check_prop_upper_bound", recording)
-    got = [(r.n, r.m) for r in bounds.sweep_prop_bound(5, 60, 3, table=ProportionTable())]
+    got = [(r.n, r.m) for r in bounds.sweep_prop_bound(5, 60, 3)]
     assert len(calls) == 153 and calls == sorted(set(calls))
     assert len(got) == 152 and got == sorted(got)

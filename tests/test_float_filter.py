@@ -41,7 +41,7 @@ def test_enclosure_holds_the_exact_value(row, alternating):
     table = ProportionTable()
     lo, hi = prop_enclosure([m], n, alternating=alternating)
     for k in range(2, n + 1):
-        exact = prop_alternating(k, m, table=table) if alternating else table.prop(k, m)
+        exact = prop_alternating(k, m) if alternating else table.prop(k, m)
         low, high = lo[k, 0].item(), hi[k, 0].item()
         # float against Fraction compares exactly
         assert low <= exact <= high, (k, m, alternating)
@@ -81,24 +81,23 @@ THM2 = ["verify-thm2", "--n-hi", "100"]
 
 
 def test_theorem1_filter_agrees_with_exact():
-    table = ProportionTable()
     exact = [(n, m) for n in range(5, 61) for m in range(n - 1, 3 * n + 1)
-             if not check_prop_upper_bound(n, m, table=table).passed]
+             if not check_prop_upper_bound(n, m).passed]
     assert [(r.n, r.m) for r in sweep_prop_bound(5, 60, 3)] == exact == []
     status, out, err = _run(THM1)
     assert status == 0 and "0 failures" in out
     assert _counts(err) == (3752, 0)
 
 
-def test_theorem1_filter_defers_failures_and_ties(monkeypatch):
+def test_theorem1_filter_defers_failures_and_ties(monkeypatch, capsys):
     # with gamma lowered to 1/2 some cells fail, and (6, 10) sits exactly on
     # the bound: 11/36 = 1/6 + 10/72, a tie no float enclosure can settle
     monkeypatch.setattr(bounds, "gamma_value", lambda m: Fraction(1, 2))
-    table = ProportionTable()
     exact = [(n, m) for n in range(5, 61) for m in range(n - 1, 3 * n + 1)
-             if not check_prop_upper_bound(n, m, table=table).passed]
-    msgs = []
-    got = sweep_prop_bound(5, 60, 3, table=ProportionTable(), progress=msgs.append)
+             if not check_prop_upper_bound(n, m).passed]
+    capsys.readouterr()
+    got = sweep_prop_bound(5, 60, 3)
+    msgs = capsys.readouterr().err.splitlines()
     assert sorted((r.n, r.m) for r in got) == sorted(exact) and len(exact) == 152
     assert all(not r.passed and r.lhs > r.rhs for r in got)
     assert (6, 10) not in exact
@@ -113,9 +112,8 @@ def test_theorem2_filter_agrees_with_exact(case, strict, monkeypatch):
         # the n^(2/3) floor raised to 1 - 1/n^(2/3) fails at many degrees
         monkeypatch.setattr(recognition, "_n23_parameters",
                             lambda spec: (Fraction(1), 1, 0, spec.n))
-    table = ProportionTable()
-    every = verify_theorem2(case, 1, 100, table=table)
-    count, failures = sweep_theorem2(case, 1, 100, table=ProportionTable())
+    every = verify_theorem2(case, 1, 100)
+    count, failures = sweep_theorem2(case, 1, 100)
     assert count == len(every)
     assert failures == [r for r in every if not r.passed]
     if case == 10 and not strict:

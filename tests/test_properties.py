@@ -216,7 +216,7 @@ _queries = st.lists(
 
 def _ask(table: ProportionTable, kind: str, n: int, m: int) -> Fraction | int:
     if kind == "alt":
-        return prop_alternating(n, m, table=table)
+        return Fraction(table.count(n, m, signed=True) + table.count(n, m), factorial(n))
     if kind.startswith("count"):
         return table.count(n, m, signed=kind == "count-signed")
     return table.prop(n, m, signed=kind == "signed")

@@ -7,7 +7,6 @@ import pytest
 from oracles import brute_force_prop, divisor_sum_naive, iter_partitions
 from symprop.proportions import (
     CycleType,
-    ProportionTable,
     divisor_sum_capped,
     divisor_sum_relaxed,
     prop_alternating,
@@ -83,14 +82,14 @@ def test_signed_anchors(table):
             assert table.prop(n, m, signed=True) == table.prop(n, m)
 
 
-def test_alternating_anchors(table):
-    assert prop_alternating(4, 2, table=table) == Fraction(1, 3)
-    assert prop_alternating(5, 5, table=table) == Fraction(5, 12)
+def test_alternating_anchors():
+    assert prop_alternating(4, 2) == Fraction(1, 3)
+    assert prop_alternating(5, 5) == Fraction(5, 12)
     for n in range(2, 9):
-        assert prop_alternating(n, 1, table=table) == Fraction(2, factorial(n))
+        assert prop_alternating(n, 1) == Fraction(2, factorial(n))
 
 
-def test_alternating_vs_enumeration(table):
+def test_alternating_vs_enumeration():
     for n in range(2, 8):
         for m in range(1, 10):
             share = sum(
@@ -98,17 +97,17 @@ def test_alternating_vs_enumeration(table):
                 for p in iter_partitions(n)
                 if CycleType(p).is_even and m % CycleType(p).order == 0
             )
-            assert prop_alternating(n, m, table=table) == 2 * share
+            assert prop_alternating(n, m) == 2 * share
 
 
 def test_split_anchors(table):
-    part = prop_split(3, 3, table=table)
+    part = prop_split(3, 3)
     assert part == (Fraction(1, 3), Fraction(0), Fraction(1, 6))
-    assert prop_split(4, 3, table=table).total == Fraction(3, 8)
+    assert prop_split(4, 3).total == Fraction(3, 8)
     # order dividing 7 in S_8 means identity or 7-cycle; a 7-cycle fixes
     # one of the 8 points, which lands among the three marked ones with
     # probability 3/8, so the shared-pair component is (1/7)(3/8)
-    part = prop_split(8, 7, table=table)
+    part = prop_split(8, 7)
     assert part.two_cycles == Fraction(3, 56)
     assert part.one_cycle == Fraction(1, 7) - Fraction(3, 56)
     assert part.total == table.prop(8, 7)
@@ -117,7 +116,7 @@ def test_split_anchors(table):
 def test_split_identity_window(table):
     for n in range(3, 16):
         for m in range(1, 2 * n + 1):
-            assert prop_split(n, m, table=table).total == table.prop(n, m)
+            assert prop_split(n, m).total == table.prop(n, m)
 
 
 def test_brute_force_modes_agree(table):
@@ -184,14 +183,13 @@ def test_brute_force_prop_guards():
 
 
 def test_theorem2_sweep_on_one_table_keeps_one_row():
-    # every family's degrees on one shared table: only the row built last
-    # is kept, so the peak stays near one row's size (a table that kept
-    # every row peaked at about 6.8 MB on this sweep)
-    table = ProportionTable()
+    # every family's degrees: each call drops the rows it built, so the
+    # peak stays near one row's size (a table that kept every row peaked
+    # at about 6.8 MB on this sweep)
     tracemalloc.start()
     try:
         for case_id in range(1, 11):
-            verify_theorem2(case_id, 1, 250, table=table)
+            verify_theorem2(case_id, 1, 250)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

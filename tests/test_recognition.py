@@ -94,17 +94,17 @@ def test_prob_a_rcycle_route():
 
 
 def test_prob_b_forms(table):
-    assert prob_B(case_params(1, 5), table=table) == Fraction(5, 24)
-    assert prob_B(case_params(4, 5), table=table) == Fraction(5, 12)
+    assert prob_B(case_params(1, 5)) == Fraction(5, 24)
+    assert prob_B(case_params(4, 5)) == Fraction(5, 12)
     expected = table.prop(9, 14) - table.prop(9, 7)
-    assert prob_B(case_params(2, 9), table=table) == expected
+    assert prob_B(case_params(2, 9)) == expected
 
 
-def test_prob_b_upper_bound_window(table):
+def test_prob_b_upper_bound_window():
     for cid in (2, 3, 6, 7, 8, 9, 10):
         for n in admissible_degrees(cid, 20, 120):
             spec = case_params(cid, n)
-            assert prob_B(spec, table=table) <= prob_B_upper_bound(spec), (cid, n)
+            assert prob_B(spec) <= prob_B_upper_bound(spec), (cid, n)
     with pytest.raises(ValueError):
         prob_B_upper_bound(case_params(1, 20))
 
@@ -124,57 +124,57 @@ def test_lower_bound_selection():
     assert lower_bound_for(case_params(7, 15)) == Fraction(1, 3)
 
 
-def test_cond_prob_case1_small(table):
-    rep = cond_prob(case_params(1, 5), table=table)
+def test_cond_prob_case1_small():
+    rep = cond_prob(case_params(1, 5))
     assert rep.p_A_given_B == Fraction(24, 25)
     assert rep.passed
 
 
-def test_cond_prob_table2_rows(table):
+def test_cond_prob_table2_rows():
     # the two exceptional rows that genuinely clear their printed floors
-    rep = cond_prob(case_params(10, 13), table=table)
+    rep = cond_prob(case_params(10, 13))
     assert rep.p_A_given_B == Fraction(14175, 62896)
     assert rep.passed
-    rep = cond_prob(case_params(9, 31), table=table)
+    rep = cond_prob(case_params(9, 31))
     assert Fraction(3, 10) < rep.p_A_given_B < Fraction(32, 100)
     assert rep.passed
-    rep = cond_prob(case_params(10, 25), table=table)
+    rep = cond_prob(case_params(10, 25))
     assert Fraction(3, 20) < rep.p_A_given_B < Fraction(16, 100)
     assert rep.passed
 
 
-def test_cond_prob_known_shortfalls(table):
+def test_cond_prob_known_shortfalls():
     # two admissible degrees in family 10 sit below their listed floors;
     # the exact values are frozen here so any drift is loud
-    rep = cond_prob(case_params(10, 37), table=table)
+    rep = cond_prob(case_params(10, 37))
     assert not rep.passed
     assert Fraction(319, 1000) < rep.p_A_given_B < Fraction(1, 3)
-    rep = cond_prob(case_params(10, 85), table=table)
+    rep = cond_prob(case_params(10, 85))
     assert not rep.passed
     assert Fraction(2, 7) < rep.p_A_given_B < Fraction(3, 10)
     assert abs(rep.p_A_given_B - Fraction(298274, 1000000)) < Fraction(1, 1000000)
 
 
-def test_verify_theorem2_families_clean(table):
+def test_verify_theorem2_families_clean():
     for cid in (1, 4, 5):
-        reports = verify_theorem2(cid, 5, 120, table=table)
+        reports = verify_theorem2(cid, 5, 120)
         assert all(r.passed for r in reports), cid
     for cid in (2, 3, 6, 7, 8, 9):
-        reports = verify_theorem2(cid, 8, 120, table=table)
+        reports = verify_theorem2(cid, 8, 120)
         assert reports and all(r.passed for r in reports), cid
 
 
-def test_verify_theorem2_case10_failures(table):
-    reports = verify_theorem2(10, 8, 300, table=table)
+def test_verify_theorem2_case10_failures():
+    reports = verify_theorem2(10, 8, 300)
     failing = sorted(r.n for r in reports if not r.passed)
     assert failing == [37, 85]
 
 
-def test_n23_bound_samples(table):
+def test_n23_bound_samples():
     for cid in ALL_CASES:
         for n in admissible_degrees(cid, 30, 90):
             spec = case_params(cid, n)
-            value = cond_prob(spec, table=table).p_A_given_B
+            value = cond_prob(spec).p_A_given_B
             assert check_n23_bound(spec, value).passed, (cid, n)
 
 
@@ -205,7 +205,7 @@ def test_table2_keys_are_admissible():
         assert floor in (Fraction(3, 10), Fraction(3, 20))
 
 
-def test_family_records_are_pinned(table):
+def test_family_records_are_pinned():
     # every family fact at every admissible n <= 300: parameters, P(A),
     # floors, the exact record, both checks and, where defined, the P(B)
     # bound and the divisor classes; the digest was taken before the
@@ -214,7 +214,7 @@ def test_family_records_are_pinned(table):
     for cid in ALL_CASES:
         for n in admissible_degrees(cid, 1, 300):
             spec = case_params(cid, n)
-            rep = cond_prob(spec, table=table)
+            rep = cond_prob(spec)
             rec = [cid, n, spec.r, spec.cycle_type.parts, spec.power_order, spec.calc_group,
                    spec.order_bound, prob_A(spec), lower_bound_for(spec), rep.record(),
                    astuple(check_n23_bound(spec, rep.p_A_given_B))]

@@ -68,51 +68,51 @@ def test_type_census_matches_class_sizes():
 
 
 def test_estimate_order_divides_anchor(table):
-    st = estimate_order_divides(10, 10, 50_000, seed=11, table=table)
+    st = estimate_order_divides(10, 10, 50_000, seed=11)
     assert st.target_exact == table.prop(10, 10)
     assert st.within_sigma(4)
-    again = estimate_order_divides(10, 10, 50_000, seed=11, table=table)
+    again = estimate_order_divides(10, 10, 50_000, seed=11)
     assert again.successes == st.successes
 
 
-def test_estimate_order_divides_alternating(table):
+def test_estimate_order_divides_alternating():
     from symprop.proportions import prop_alternating
 
-    st = estimate_order_divides(8, 6, 50_000, seed=2, group="A", table=table)
-    assert st.target_exact == prop_alternating(8, 6, table=table)
+    st = estimate_order_divides(8, 6, 50_000, seed=2, group="A")
+    assert st.target_exact == prop_alternating(8, 6)
     assert st.within_sigma(4)
 
 
-def test_estimate_trivial_degrees(table):
-    st = estimate_order_divides(1, 1, 100, seed=0, table=table)
+def test_estimate_trivial_degrees():
+    st = estimate_order_divides(1, 1, 100, seed=0)
     assert st.estimate == 1
-    st = estimate_order_divides(2, 2, 20_000, seed=1, table=table)
+    st = estimate_order_divides(2, 2, 20_000, seed=1)
     assert st.target_exact == 1
-    st = estimate_order_divides(2, 1, 20_000, seed=1, table=table)
+    st = estimate_order_divides(2, 1, 20_000, seed=1)
     assert st.within_sigma(4) and abs(st.estimate - Fraction(1, 2)) < Fraction(1, 50)
 
 
-def test_estimate_case_events(table):
-    st = estimate_case_event(1, 8, "A", 60_000, seed=3, table=table)
+def test_estimate_case_events():
+    st = estimate_case_event(1, 8, "A", 60_000, seed=3)
     assert st.target_exact == prob_A(case_params(1, 8))
     assert st.within_sigma(4)
-    st = estimate_case_event(2, 9, "B", 60_000, seed=4, table=table)
-    assert st.target_exact == prob_B(case_params(2, 9), table=table)
+    st = estimate_case_event(2, 9, "B", 60_000, seed=4)
+    assert st.target_exact == prob_B(case_params(2, 9))
     assert st.within_sigma(4)
     # family 10 draws from the alternating group
-    st = estimate_case_event(10, 13, "A", 60_000, seed=5, table=table)
+    st = estimate_case_event(10, 13, "A", 60_000, seed=5)
     assert st.target_exact == Fraction(1, 24)
     assert st.within_sigma(4)
 
 
-def test_estimate_event_dispatch(table):
+def test_estimate_event_dispatch():
     st = estimate_predicate(6, lambda t: t.order % 2 == 1, 20_000, seed=6)
     assert st.target_exact is None
     assert st.within_sigma(4) is None
     st2 = estimate_predicate(6, lambda t: t.order % 2 == 1, 20_000, seed=6)
     assert st2.successes == st.successes
-    st3 = estimate_case_event(4, 9, "B", 20_000, seed=7, table=table)
-    assert st3.target_exact == prob_B(case_params(4, 9), table=table)
+    st3 = estimate_case_event(4, 9, "B", 20_000, seed=7)
+    assert st3.target_exact == prob_B(case_params(4, 9))
 
 
 def test_stats_validation():
@@ -122,25 +122,25 @@ def test_stats_validation():
         SampleStats(10, 5, Fraction(1, 3), 0.0, None)
 
 
-def test_search_cost_sim_case1(table):
-    st = search_cost_sim(1, 4_000, n=10, seed=13, table=table)
+def test_search_cost_sim_case1():
+    st = search_cost_sim(1, 4_000, n=10, seed=13)
     assert st.target_exact == Fraction(1, 10)
     assert st.mean_within_sigma(4)
     assert st.cond_within_sigma(4)
-    assert st.target_cond == cond_prob(case_params(1, 10), table=table).p_A_given_B
+    assert st.target_cond == cond_prob(case_params(1, 10)).p_A_given_B
 
 
-def test_search_cost_sim_case4(table):
-    st = search_cost_sim(4, 3_000, n=9, seed=17, table=table)
+def test_search_cost_sim_case4():
+    st = search_cost_sim(4, 3_000, n=9, seed=17)
     assert st.target_exact == Fraction(2, 9)
     assert st.mean_within_sigma(4)
     # every draw already sits in the alternating group
     assert st.b_hits <= st.trials
 
 
-def test_search_cost_sim_deterministic(table):
-    a = search_cost_sim(2, 500, n=9, seed=23, table=table)
-    b = search_cost_sim(2, 500, n=9, seed=23, table=table)
+def test_search_cost_sim_deterministic():
+    a = search_cost_sim(2, 500, n=9, seed=23)
+    b = search_cost_sim(2, 500, n=9, seed=23)
     assert (a.trials, a.successes, a.b_hits) == (b.trials, b.successes, b.b_hits)
 
 
@@ -153,9 +153,9 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_memory_does_not_grow_with_trials(table):
+def test_memory_does_not_grow_with_trials():
     # batches are streamed, so four times the trials may not cost four
     # times the memory
-    small = _traced_peak(lambda: estimate_order_divides(50, 12, 2 * _BATCH, seed=1, table=table))
-    large = _traced_peak(lambda: estimate_order_divides(50, 12, 8 * _BATCH, seed=1, table=table))
+    small = _traced_peak(lambda: estimate_order_divides(50, 12, 2 * _BATCH, seed=1))
+    large = _traced_peak(lambda: estimate_order_divides(50, 12, 8 * _BATCH, seed=1))
     assert large <= 1.25 * small, (small, large)
