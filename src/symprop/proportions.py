@@ -183,12 +183,11 @@ class ProportionTable:
 
     exact for the same reason, and the signed value is (E - O)/L! = (2E - F)/L!.
 
-    Only the row built last is kept, for one (m, parity) pair.  A parity row
-    also answers plain queries, and for odd m a plain row serves signed
-    queries too, as every permutation whose order divides m is even.  A
-    request for the kept row beyond L rescales every entry by L'!/L! with
-    L' = max(n, 2L) and extends the row to L', so a run of growing requests
-    rescales O(log n) times.  Any other request replaces the row.
+    Only the row built last is kept, for one (m, parity) pair, up to the
+    degree L of the request that built it.  A parity row also answers plain
+    queries, and for odd m a plain row serves signed queries too, as every
+    permutation whose order divides m is even.  Any request the kept row
+    does not cover replaces it with a row built to that request's degree.
 
     ``prop`` forms one Fraction F(n)/L!.  ``count`` divides F(n) by L!/n!,
     which it derives from the last degree it read, so reads in ascending
@@ -202,46 +201,39 @@ class ProportionTable:
         self._rows: list[list[int]] = []  # [F], or [F, E] for a parity row
         self._down = (0, 1)  # (k, L!/k!) for the last degree k read by count
 
-    def _grow(self, m: int, parity: bool, upto: int) -> None:
-        """Replace or extend the kept row so that it covers degree upto for m."""
+    def _build(self, m: int, parity: bool, upto: int) -> None:
+        """Keep a row that covers degree upto for m, building it if need be."""
         if m < 1:
             raise ValueError("m must be positive")
         parity = parity and m % 2 == 0  # an odd m admits only even permutations
-        if m != self._m or (parity and not self._parity):
-            self._m, self._parity, self._scale, self._down = m, parity, 1, (0, 1)
-            self._rows = [[1], [1]] if parity else [[1]]
-        rows = self._rows
-        start = len(rows[0])
-        if upto < start:
+        if m == self._m and upto < len(self._rows[0]) and (self._parity or not parity):
             return
-        top = max(upto, 2 * (start - 1))
-        scale = factorial(top)
-        ratio = scale // self._scale
-        rows[:] = [[x * ratio for x in row] for row in rows]
-        self._scale, self._down = scale, (top, 1)
+        scale = factorial(upto)
+        self._m, self._parity, self._scale, self._down = m, parity, scale, (upto, 1)
+        self._rows = [[scale], [scale]] if parity else [[scale]]
         # F(j - d) is f[-d] while f has j entries; the divisors d <= j only
         # change at j = d, so each stretch of degrees between two divisors
         # sums over one fixed list of offsets
-        divs = _divisors_upto(m, top)
-        ends = divs[1:] + (top + 1,)
-        if self._parity:
-            f, e = rows
+        divs = _divisors_upto(m, upto)
+        ends = divs[1:] + (upto + 1,)
+        if parity:
+            f, e = self._rows
             odd: list[int] = []
             even: list[int] = []
             for d, end in zip(divs, ends):
                 (odd if d % 2 else even).append(-d)
                 at_odd, at_even = _offset_sum(odd), _offset_sum(even)
-                for j in range(max(start, d), end):
+                for j in range(d, end):
                     flip = at_even(f)
                     e.append((at_odd(e) - at_even(e) + flip) // j)
                     f.append((at_odd(f) + flip) // j)
         else:
-            (f,) = rows
+            (f,) = self._rows
             back: list[int] = []
             for d, end in zip(divs, ends):
                 back.append(-d)
                 total = _offset_sum(back)
-                for j in range(max(start, d), end):
+                for j in range(d, end):
                     f.append(total(f) // j)
 
     def _value(self, n: int, signed: bool) -> int:
@@ -255,7 +247,7 @@ class ProportionTable:
             raise ValueError("m must be positive")
         if n < 0:
             raise ValueError("count is defined for n >= 0")
-        self._grow(m, signed, n)
+        self._build(m, signed, n)
         # L!/n! from the last one by a few small factors when reads run in order
         k, q = self._down
         q = q // prod(range(k + 1, n + 1)) if n >= k else q * prod(range(n + 1, k + 1))
@@ -267,11 +259,11 @@ class ProportionTable:
             raise ValueError("m must be positive")
         if n <= 0:
             return Fraction(1)
-        self._grow(m, signed, n)
+        self._build(m, signed, n)
         return Fraction(self._value(n, signed), self._scale)
 
     def ensure(self, m: int, upto: int, signed: bool = False) -> None:
-        self._grow(m, signed, upto)
+        self._build(m, signed, max(upto, 0))
 
 
 def prop_order_dividing(n: int, m: int) -> Fraction:

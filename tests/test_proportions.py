@@ -14,7 +14,7 @@ from symprop.proportions import (
     prop_order_dividing_signed,
     prop_split,
 )
-from symprop.recognition import verify_theorem2
+from symprop.recognition import _b_moduli, admissible_degrees, case_params
 
 
 def test_cycle_type_basics():
@@ -182,15 +182,24 @@ def test_brute_force_prop_guards():
         brute_force_prop(5, 3, mode="nonsense")
 
 
-def test_theorem2_sweep_on_one_table_keeps_one_row():
-    # every family's degrees: each call drops the rows it built, so the
-    # peak stays near one row's size (a table that kept every row peaked
-    # at about 6.8 MB on this sweep)
+def test_one_table_keeps_one_row_over_theorem2_reads(table):
+    # every row the ten families' theorem-2 sweeps read for n <= 250, on one
+    # shared table: only the row built last is kept, so the peak stays near
+    # one row's size (a table that kept every row peaked at about 31 MB)
     tracemalloc.start()
     try:
         for case_id in range(1, 11):
-            verify_theorem2(case_id, 1, 250)
+            for n in admissible_degrees(case_id, 1, 250):
+                spec = case_params(case_id, n)
+                for m in _b_moduli(spec):
+                    table.prop(n, m, signed=spec.calc_group == "A")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MB"
+    # a read the kept row covers keeps it; any other replaces it
+    table.prop(30, 12, signed=True)
+    table.prop(10, 12)
+    assert [len(row) for row in table._rows] == [31, 31]
+    table.prop(20, 7)
+    assert [len(row) for row in table._rows] == [21]
