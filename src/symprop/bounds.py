@@ -24,8 +24,10 @@ For the tail in m there is a closed expression
     f(m, c) = 3c^2 sqrt(gm) / (m^(1/3) (sqrt(gm) - 1))
               + c^3 sqrt(gm) / ((sqrt(gm) - 1)(sqrt(gm) - 2)),
 
-g = gamma(m), evaluated here in certified rational enclosures; the fact
-that f(19020, c0) <= 1 anchors the large-m branch.
+g = gamma(m).  Its bounds here are exact rationals, built from directed
+rational bounds on its three roots sqrt(gm), c^(2/3) and m^(1/3) (see
+:mod:`symprop.enclosure`); the fact that f(19020, c0) <= 1 anchors the
+large-m branch.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .divisors import C0_CUBED, divisor_list, divisor_rich_candidates, gamma_value
-from .enclosure import Interval, cbrt_enclosure, sqrt_enclosure
+from .enclosure import cbrt_enclosure, sqrt_enclosure
 from .proportions import (
     _arrangement_weights,
     _RelaxedEvaluator,
@@ -255,68 +257,66 @@ def sweep_divisor_majorant(
 # --- certified tail evaluation -----------------------------------------------
 
 
-def excess_ratio_bound(m: int, c_cubed: Fraction = C0_CUBED, digits: int = 40) -> Interval:
-    """Certified enclosure of f(m, c) for c = c_cubed**(1/3); needs gamma*m > 4."""
+_EXCESS_GRID = (19020, 40000, 10**5, 10**6, 10**7, 10**8)
+
+
+def excess_ratio_bound(m: int) -> tuple[Fraction, Fraction]:
+    """Certified bounds lo <= f(m, c0) <= hi, from directed roots.
+
+    Every factor of f is positive once sqrt(gamma*m) > 2, so the upper end
+    takes each root in a numerator at its upper bound and each root in a
+    denominator at its lower bound, and the lower end the opposite.
+    """
     if m < 2:
         raise ValueError("needs m >= 2 so that sqrt(gamma*m) > 2")
-    c_cubed = Fraction(c_cubed)
-    if c_cubed <= 0:
-        raise ValueError("c_cubed must be positive")
-    g = sqrt_enclosure(gamma_value(m) * m, digits)
-    if not g.lo > 2:
+    g_lo, g_hi = sqrt_enclosure(gamma_value(m) * m)
+    if not g_lo > 2:
         raise ValueError("sqrt(gamma*m) must exceed 2")
-    c_sq = cbrt_enclosure(c_cubed * c_cubed, digits)
-    m_cbrt = cbrt_enclosure(m, digits)
-    term1 = (3 * c_sq * g) / (m_cbrt * (g - 1))
-    term2 = (c_cubed * g) / ((g - 1) * (g - 2))
-    return term1 + term2
+    c_sq_lo, c_sq_hi = cbrt_enclosure(C0_CUBED * C0_CUBED)
+    m_cbrt_lo, m_cbrt_hi = cbrt_enclosure(m)
+
+    def f(g_up: Fraction, c_sq: Fraction, m_cbrt: Fraction, g_down: Fraction) -> Fraction:
+        return (3 * c_sq * g_up / (m_cbrt * (g_down - 1))
+                + C0_CUBED * g_up / ((g_down - 1) * (g_down - 2)))
+
+    return f(g_lo, c_sq_lo, m_cbrt_hi, g_hi), f(g_hi, c_sq_hi, m_cbrt_lo, g_lo)
 
 
-def check_excess_threshold(digits: int = 40) -> BoundReport:
-    """Certify f(19020, c0) <= 1 by enclosure."""
-    box = excess_ratio_bound(19020, C0_CUBED, digits)
+def check_excess_threshold() -> BoundReport:
+    """Certify f(19020, c0) <= 1 from the upper end of its bounds."""
+    lo, hi = excess_ratio_bound(19020)
     return BoundReport(
         "excess-threshold",
         None,
         19020,
         None,
-        box.hi,
+        hi,
         Fraction(1),
-        box.entirely_le(1),
-        f"enclosure width {float(box.width):.2e}",
+        hi <= 1,
+        f"enclosure width {float(hi - lo):.2e}",
     )
 
 
-def check_excess_monotone(
-    m_values: Sequence[int] = (19020, 40000, 10**5, 10**6, 10**7, 10**8),
-    c_cubed: Fraction = C0_CUBED,
-    digits: int = 40,
-) -> BoundReport:
-    """Check f(m, c) is non-increasing across the sampled grid.
+def check_excess_monotone() -> BoundReport:
+    """Check f(m, c0) is non-increasing across the sampled grid.
 
-    All sampled m must lie in the constant-gamma tail (m > 360); each
-    adjacent pair is compared through the enclosures, so a pass proves
-    the ordering of the true values at the sampled points.
+    The grid ascends and lies in the constant-gamma tail (m > 360); each
+    adjacent pair is compared through the bounds, so a pass proves the
+    ordering of the true values at the sampled points.
     """
-    if any(m <= 360 for m in m_values):
-        raise ValueError("sample the constant-gamma tail only (m > 360)")
-    if list(m_values) != sorted(set(m_values)):
-        raise ValueError("m_values must be strictly increasing")
-    boxes = [excess_ratio_bound(m, c_cubed, digits) for m in m_values]
-    bad = [
-        i for i in range(len(boxes) - 1) if not boxes[i].lo >= boxes[i + 1].hi
-    ]
-    witness = "grid " + ",".join(map(str, m_values))
+    los, his = zip(*map(excess_ratio_bound, _EXCESS_GRID))
+    bad = [i for i in range(len(los) - 1) if not los[i] >= his[i + 1]]
+    witness = "grid " + ",".join(map(str, _EXCESS_GRID))
     if bad:
-        pairs = ", ".join(f"({m_values[i]},{m_values[i + 1]})" for i in bad)
+        pairs = ", ".join(f"({_EXCESS_GRID[i]},{_EXCESS_GRID[i + 1]})" for i in bad)
         witness += "; order not certified at " + pairs
-        lhs, rhs = boxes[bad[0] + 1].hi, boxes[bad[0]].lo
+        lhs, rhs = his[bad[0] + 1], los[bad[0]]
     else:
-        lhs, rhs = boxes[-1].hi, boxes[0].lo
+        lhs, rhs = his[-1], los[0]
     return BoundReport(
         "excess-monotone",
         None,
-        m_values[0],
+        _EXCESS_GRID[0],
         None,
         lhs,
         rhs,

@@ -376,16 +376,15 @@ def filter_then_exact(
 
     ``open_cells`` encloses a block of at most ENCLOSURE_COLUMNS columns with
     :func:`prop_enclosure` and names the cells it cannot pass, as (index in
-    the block, degree).  Only those get ``exact(column, degree)``, a column
-    at a time in ascending degree, so the order of the exact checks does not
-    depend on the order ``open_cells`` names them in.  One :func:`note`
-    gives the count of each.
+    the block, degree).  Only those get ``exact(column, degree)``, in the
+    order ``open_cells`` names them.  One :func:`note` gives the count of
+    each.
     """
     failures: list[Report] = []
     sent = 0
     for start in range(0, len(columns), ENCLOSURE_COLUMNS):
         block = columns[start : start + ENCLOSURE_COLUMNS]
-        for i, n in sorted(open_cells(block)):
+        for i, n in open_cells(block):
             sent += 1
             report = exact(block[i], n)
             if not report.passed:

@@ -48,7 +48,7 @@ where 1/4, 3/10 or 3/20 is the true floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from typing import Iterator, NamedTuple, Sequence
@@ -261,16 +261,15 @@ def lower_bound_for(spec: CaseSpec) -> Fraction:
 
 
 def cond_prob(spec: CaseSpec) -> CondProbReport:
-    """P(A | B) = P(A)/P(B) with the floor check folded in."""
+    """The exact conditional P(A | B) = P(A)/P(B); it passes only if both
+    floors hold (see :func:`_floors_hold`)."""
     p_a = prob_A(spec)
     p_b = prob_B(spec)
     if p_b == 0:
         raise ZeroDivisionError(f"event B impossible for case {spec.case_id}, n = {spec.n}")
     quotient = p_a / p_b
-    bound = lower_bound_for(spec)
-    return CondProbReport(
-        spec.case_id, spec.n, spec.r, p_a, p_b, quotient, bound, quotient >= bound
-    )
+    return CondProbReport(spec.case_id, spec.n, spec.r, p_a, p_b, quotient,
+                          lower_bound_for(spec), _floors_hold(spec, quotient))
 
 
 def _n23_parameters(spec: CaseSpec) -> tuple[Fraction, int, int, int]:
@@ -300,12 +299,6 @@ def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
     return value >= lower_bound_for(spec) and check_n23_bound(spec, value).passed
 
 
-def _exact_report(spec: CaseSpec) -> CondProbReport:
-    """The exact conditional; it passes only if both floors hold."""
-    rep = cond_prob(spec)
-    return replace(rep, passed=_floors_hold(spec, rep.p_A_given_B))
-
-
 def verify_theorem2(case_id: int, n_lo: int, n_hi: int) -> list[CondProbReport]:
     """Exact conditionals for every admissible degree in [n_lo, n_hi].
 
@@ -315,7 +308,7 @@ def verify_theorem2(case_id: int, n_lo: int, n_hi: int) -> list[CondProbReport]:
     out: list[CondProbReport] = []
     degrees = list(admissible_degrees(case_id, n_lo, n_hi))
     for i, n in enumerate(degrees):
-        out.append(_exact_report(case_params(case_id, n)))
+        out.append(cond_prob(case_params(case_id, n)))
         if (i + 1) % 50 == 0:
             note(f"case {case_id}: {i + 1}/{len(degrees)} degrees")
     return out
@@ -356,7 +349,7 @@ def sweep_theorem2(case_id: int, n_lo: int, n_hi: int) -> tuple[int, list[CondPr
     """
     specs = [case_params(case_id, n) for n in admissible_degrees(case_id, n_lo, n_hi)]
     failures = filter_then_exact(f"case {case_id}", specs, len(specs), _open_degrees,
-                                 lambda spec, n: _exact_report(spec))
+                                 lambda spec, n: cond_prob(spec))
     return len(specs), failures
 
 

@@ -20,6 +20,7 @@ from symprop.divisors import (
     divisor_list,
     gamma_value,
 )
+from symprop.enclosure import cbrt_enclosure, integer_nth_root, sqrt_enclosure
 from symprop.proportions import (
     CycleType,
     ProportionTable,
@@ -41,6 +42,27 @@ def test_ratio_minus_excess(x, y):
     # x/(x+y) >= 1 - y/x for positive x, y: clearing denominators turns
     # the claim into y**2 >= 0
     assert x / (x + y) >= 1 - y / x
+
+
+positive_rationals = st.fractions(min_value=Fraction(1, 10**12), max_value=10**12)
+
+
+@given(x=positive_rationals)
+def test_root_bounds_bracket_the_root(x):
+    q = x.denominator
+    for k, enclosure in ((2, sqrt_enclosure), (3, cbrt_enclosure)):
+        lo, hi = enclosure(x)
+        assert 0 < lo <= hi and lo**k <= x <= hi**k
+        assert hi - lo <= Fraction(1, q * 10**40)
+        # the root of x = p/q in lowest terms is rational iff p and q are k-th powers
+        rational = all(integer_nth_root(v, k) ** k == v for v in (x.numerator, q))
+        assert (lo == hi) == rational
+
+
+@given(root=positive_rationals)
+def test_root_bounds_are_exact_at_perfect_powers(root):
+    assert sqrt_enclosure(root**2) == (root, root)
+    assert cbrt_enclosure(root**3) == (root, root)
 
 
 @given(n=st.integers(2001, 10**7), seed=st.randoms(use_true_random=False))
