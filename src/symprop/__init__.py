@@ -48,8 +48,6 @@ from .sampler import (
     SampleStats,
     SearchStats,
     estimate_order_divides,
-    power_order,
-    random_cycle_type,
     search_cost_sim,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "estimate_order_divides",
     "gamma_value",
     "lower_bound_for",
-    "power_order",
     "prob_A",
     "prob_B",
     "prop_alternating",
@@ -83,7 +80,6 @@ __all__ = [
     "prop_split",
     "prop_upper_bound",
     "prop_upper_bound_near",
-    "random_cycle_type",
     "search_cost_sim",
     "sweep_divisor_majorant",
     "sweep_prop_bound",

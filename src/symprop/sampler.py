@@ -3,8 +3,8 @@
 Everything here samples uniform random permutations (by shuffling),
 reduces them to cycle types, and compares empirical frequencies with
 the exact rational values computed elsewhere in the package.  The
-acceptance tolerance is always k standard deviations with k = 4, and
-the tolerance test itself is carried out in exact arithmetic: with
+acceptance tolerance is fixed at k = SIGMAS = 4 standard deviations,
+and the tolerance test itself is carried out in exact arithmetic: with
 target t, trials T and successes s, the check is
 
     (s - t*T)**2  <=  k**2 * t * (1 - t) * T,
@@ -20,103 +20,99 @@ On a d-cycle g**e has order d/gcd(d, e), so the tests are elementwise.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm, sqrt
-from typing import Callable, Iterator
+from math import inf, sqrt
+from typing import Iterator
 
 import numpy as np
 
-from .proportions import CycleType, prop_alternating, prop_order_dividing
+from .proportions import prop_alternating, prop_order_dividing
 from .recognition import CaseSpec, case_params, cond_prob, prob_A, prob_B
 
 __all__ = [
     "SampleStats",
     "SearchStats",
-    "random_cycle_type",
-    "power_order",
     "estimate_order_divides",
     "estimate_case_event",
-    "estimate_predicate",
     "search_cost_sim",
 ]
 
+SIGMAS = 4  # the k of every k-sigma verdict
 
-def _within_sigma(k: int, hits: int, trials: int, p: Fraction) -> bool:
-    """(hits - p*trials)**2 <= k**2 * p * (1 - p) * trials, exactly."""
-    return (hits - p * trials) ** 2 <= k * k * p * (1 - p) * trials
+
+def _within_sigma(hits: int, trials: int, p: Fraction) -> bool:
+    """(hits - p*trials)**2 <= SIGMAS**2 * p * (1 - p) * trials, exactly."""
+    return (hits - p * trials) ** 2 <= SIGMAS * SIGMAS * p * (1 - p) * trials
 
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Outcome of a frequency experiment against an optional exact target."""
+    """Outcome of a frequency experiment against an exact target."""
 
     trials: int
     successes: int
-    estimate: Fraction
-    std_error: float
-    target_exact: Fraction | None
+    target_exact: Fraction
 
     def __post_init__(self) -> None:
         if not 0 <= self.successes <= self.trials:
             raise ValueError("successes must lie in [0, trials]")
-        if self.estimate != Fraction(self.successes, self.trials):
-            raise ValueError("estimate must equal successes/trials")
 
-    @classmethod
-    def from_counts(
-        cls, trials: int, successes: int, target_exact: Fraction | None = None
-    ) -> "SampleStats":
-        est = Fraction(successes, trials)
-        se = sqrt(float(est * (1 - est)) / trials)
-        return cls(trials, successes, est, se, target_exact)
+    @property
+    def estimate(self) -> Fraction:
+        return Fraction(self.successes, self.trials)
 
-    def within_sigma(self, k: int = 4) -> bool | None:
-        """Exact k-sigma verdict against the target; None without one."""
-        if self.target_exact is None:
-            return None
-        return _within_sigma(k, self.successes, self.trials, self.target_exact)
+    @property
+    def std_error(self) -> float:
+        est = self.estimate
+        return sqrt(float(est * (1 - est)) / self.trials)
+
+    def within_sigma(self) -> bool:
+        """Exact SIGMAS-sigma verdict against the target."""
+        return _within_sigma(self.successes, self.trials, self.target_exact)
 
 
 @dataclass(frozen=True)
-class SearchStats(SampleStats):
+class SearchStats:
     """Draw-until-hit experiment: trials counts draws, successes episodes.
 
-    The estimate is then episodes/draws, an empirical hit probability,
-    and trials/successes is the observed mean search length.  b_hits
-    counts the draws that passed the cheap power test on the way, and
-    target_cond is the exact conditional probability those hits are
-    compared against.
+    trials/successes is the observed mean search length, against the
+    exact hit probability target_exact.  b_hits counts the draws that
+    passed the cheap power test on the way, and target_cond is the exact
+    conditional probability those hits are compared against.  Every hit
+    passes the power test (event A lies inside event B), so
+    1 <= successes <= b_hits <= trials.
     """
 
+    trials: int
+    successes: int
     b_hits: int
-    target_cond: Fraction | None
+    target_exact: Fraction
+    target_cond: Fraction
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.successes <= self.b_hits <= self.trials:
+            raise ValueError("need 1 <= successes <= b_hits <= trials")
 
     @property
     def mean_draws(self) -> Fraction:
         return Fraction(self.trials, self.successes)
 
-    def mean_within_sigma(self, k: int = 4) -> bool | None:
-        """Exact k-sigma verdict for the mean of geometric episodes.
+    def mean_within_sigma(self) -> bool:
+        """Exact SIGMAS-sigma verdict for the mean of geometric episodes.
 
         For hit probability p the per-episode variance is (1-p)/p**2, so
         with E episodes and T total draws the claim |T/E - 1/p| being
         at most k standard errors is equivalent to the rational
         comparison (T*p - E)**2 <= k**2 * (1-p) * E.
         """
-        if self.target_exact is None:
-            return None
         p = self.target_exact
         lhs = (self.trials * p - self.successes) ** 2
-        rhs = k * k * (1 - p) * self.successes
-        return lhs <= rhs
+        return lhs <= SIGMAS * SIGMAS * (1 - p) * self.successes
 
-    def cond_within_sigma(self, k: int = 4) -> bool | None:
-        """Exact k-sigma verdict for successes among the b_hits draws."""
-        if self.target_cond is None or self.b_hits == 0:
-            return None
-        return _within_sigma(k, self.successes, self.b_hits, self.target_cond)
+    def cond_within_sigma(self) -> bool:
+        """Exact SIGMAS-sigma verdict for successes among the b_hits draws."""
+        return _within_sigma(self.successes, self.b_hits, self.target_cond)
 
 
 def _cycle_lengths(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,28 +130,6 @@ def _cycle_lengths(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.bincount(mins, minlength=count * n)[mins].reshape(count, n)
     cycles = (mins == np.arange(count * n)).reshape(count, n).sum(axis=1)
     return lengths, (n - cycles) % 2 == 0
-
-
-def _cycle_type(lengths: np.ndarray) -> CycleType:
-    """Cycle type of one row of per-point lengths: a d-cycle has d points."""
-    points = Counter(lengths.tolist())
-    return CycleType(tuple(d for d in points for _ in range(points[d] // d)))
-
-
-def random_cycle_type(n: int, seed: np.random.Generator | int | None = None) -> CycleType:
-    """Cycle type of one uniform random element of S_n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    perm = np.random.default_rng(seed).permutation(n)
-    lengths, _ = _cycle_lengths(perm[None, :])
-    return _cycle_type(lengths[0])
-
-
-def power_order(t: CycleType, r: int) -> int:
-    """Order of g**r for any g whose cycle type is t."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    return lcm(*(d // gcd(d, r) for d in t.parts))
 
 
 _BATCH = 1 << 14
@@ -217,7 +191,7 @@ def estimate_order_divides(
     hits = sum(int(divides[lengths].all(axis=1).sum())
                for lengths in _sample_batches(seed, n, trials, group))
     target = (prop_alternating if group == "A" else prop_order_dividing)(n, m)
-    return SampleStats.from_counts(trials, hits, target)
+    return SampleStats(trials, hits, target)
 
 
 def estimate_case_event(
@@ -241,26 +215,7 @@ def estimate_case_event(
     hits = sum(int(_event_mask(spec, event, lengths).sum())
                for lengths in _sample_batches(seed, n, trials, spec.calc_group))
     target = prob_A(spec) if event == "A" else prob_B(spec)
-    return SampleStats.from_counts(trials, hits, target)
-
-
-def estimate_predicate(
-    n: int,
-    predicate: Callable[[CycleType], bool],
-    trials: int,
-    *,
-    seed: np.random.Generator | int | None = None,
-    group: str = "S",
-    target: Fraction | None = None,
-) -> SampleStats:
-    """Empirical frequency of an arbitrary cycle-type predicate."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if group not in ("S", "A"):
-        raise ValueError("group must be 'S' or 'A'")
-    hits = sum(bool(predicate(_cycle_type(row)))
-               for lengths in _sample_batches(seed, n, trials, group) for row in lengths)
-    return SampleStats.from_counts(trials, hits, target)
+    return SampleStats(trials, hits, target)
 
 
 def search_cost_sim(
@@ -296,8 +251,4 @@ def search_cost_sim(
         need -= min(need, len(hit))
         if not need:
             break
-    p_a = prob_A(spec)
-    cond = cond_prob(spec).p_A_given_B
-    est = Fraction(episodes, draws)
-    se = sqrt(float(est * (1 - est)) / draws)
-    return SearchStats(draws, episodes, est, se, p_a, b_hits, cond)
+    return SearchStats(draws, episodes, b_hits, prob_A(spec), cond_prob(spec).p_A_given_B)

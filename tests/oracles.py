@@ -165,6 +165,14 @@ def prob_A_centralizer(parts: tuple[int, ...], group: str) -> Fraction:
     return Fraction(1, _centralizer_order(parts))
 
 
+def power_order(parts: tuple[int, ...], r: int) -> int:
+    """Order of g**r for any g with cycle type ``parts``: a d-cycle's r-th
+    power splits into cycles of length d/gcd(d, r)."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    return lcm(*(d // gcd(d, r) for d in parts))
+
+
 def prob_A_rcycle(n: int, r: int, s: int, group: str) -> Fraction:
     """Probability that g has an r-cycle and g**r has order exactly s.
 
@@ -177,7 +185,7 @@ def prob_A_rcycle(n: int, r: int, s: int, group: str) -> Fraction:
     for rest in iter_partitions(n - r):
         if any((s * r) % d for d in rest):
             continue
-        if lcm(*(d // gcd(d, r) for d in rest)) == s:
+        if power_order(rest, r) == s:
             total += prob_A_centralizer(rest + (r,), group)
     return total
 

@@ -189,9 +189,9 @@ def test_criterion_10_stochastic_cross_check(capsys):
         estimate_case_event(2, 9, "B", trials, seed=103),
     ]
     sim = search_cost_sim(1, 10_000, n=10, seed=104)
-    ok = all(st.within_sigma(4) for st in checks)
-    ok = ok and sim.target_exact == Fraction(1, 10) and sim.mean_within_sigma(4)
+    ok = all(st.within_sigma() for st in checks)
+    ok = ok and sim.target_exact == Fraction(1, 10) and sim.mean_within_sigma()
     _report(capsys, 10, bool(ok))
     for st in checks:
-        assert st.within_sigma(4), st
-    assert sim.mean_within_sigma(4), sim
+        assert st.within_sigma(), st
+    assert sim.mean_within_sigma(), sim

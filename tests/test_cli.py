@@ -221,6 +221,8 @@ def test_sample_with_a_modulus_beyond_int64():
     ["sample", "--case", "2", "--n", "10"],
     ["search-sim", "--case", "3", "--n", "9"],
     ["search-sim", "--case", "1", "--n", "9", "--episodes", "0"],
+    ["sample", "--n", "5", "--m", "2", "--seed", "-1"],
+    ["search-sim", "--case", "1", "--n", "6", "--episodes", "5", "--seed", "-3"],
     ["prop", "--n", "4", "--m", "x"],
 ], ids=" ".join)
 def test_bad_arguments_are_usage_errors(argv):

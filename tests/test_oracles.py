@@ -7,7 +7,13 @@ from math import factorial, lcm
 
 import pytest
 
-from oracles import alt_cube_conditional, alt_order_divides, alt_type_proportion
+from oracles import (
+    alt_cube_conditional,
+    alt_order_divides,
+    alt_type_proportion,
+    iter_partitions,
+    power_order,
+)
 from symprop.recognition import case_params, cond_prob
 
 
@@ -57,3 +63,25 @@ def test_listed_exception_rows_match_oracle(cid, n, target, r):
     assert sum(target) == n
     value = cond_prob(case_params(cid, n)).p_A_given_B
     assert value == alt_cube_conditional(target, r)
+
+
+def test_power_order_examples():
+    assert power_order((6, 2), 2) == 3
+    for r in (1, 2, 5, 7):
+        assert power_order((r,), r) == 1
+    assert power_order((2, 3, 8), 8) == 3
+    assert power_order((2, 3, 8), 1) == 24
+    with pytest.raises(ValueError):
+        power_order((3,), 0)
+
+
+def test_power_order_against_lcm_brute():
+    # |g^r| = lcm over cycles of d/gcd(d,r); cross-checked by repeated
+    # exponent stepping on the lcm order
+    for parts in iter_partitions(9):
+        order = lcm(*parts)
+        for r in range(1, 12):
+            expect = 1
+            while (r * expect) % order:
+                expect += 1
+            assert power_order(parts, r) == expect
