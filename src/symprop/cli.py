@@ -7,12 +7,13 @@ Monte-Carlo layer (sample, search-sim).
 
 Exit status: 0 when every verification in the invocation passed, 1 when
 some check failed, 2 for usage errors, which are all caught while parsing
-and validating the arguments, before anything is computed, and 3 for a
+and validating the arguments, before anything is computed, 3 for a
 fault: an exception raised while computing, whose traceback goes to
-stderr.  The one twist is verify-shat, whose sweep is KNOWN to fail
-exactly at those of m = 72 and m = 120 that it visits; that failure set
-is the expected outcome and exits 0 (so does no failure at all when the
-sweep stops below 72), while any other set exits 1.
+stderr, and 141 when the reader closed stdout before all was written.
+The one twist is verify-shat, whose sweep is KNOWN to fail exactly at
+those of m = 72 and m = 120 that it visits; that failure set is the
+expected outcome and exits 0 (so does no failure at all when the sweep
+stops below 72), while any other set exits 1.
 
 Output formats: "table" renders every rational as num/den plus a
 6-significant-digit decimal, "csv" emits the per-module column
@@ -29,6 +30,8 @@ filter decided in verify-thm1 and table-mode verify-thm2.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import traceback
 from fractions import Fraction
 from itertools import chain
@@ -390,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand.  Bad arguments exit 2 through argparse before any
     computation; an exception raised while computing is a fault, not a usage
-    error or a failed check: its traceback goes to stderr and the status is 3."""
+    error or a failed check: its traceback goes to stderr and the status is 3.
+    A reader that closes stdout early is neither: the status is 141, the
+    shell's for a writer killed by SIGPIPE, and nothing goes to stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     check = getattr(args, "check", None)
@@ -398,7 +403,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if problem is not None:
         parser.error(f"{args.subcommand}: {problem}")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception:
         traceback.print_exc()
         return 3

@@ -176,7 +176,11 @@ def is_prime(n: int) -> bool:
     those a then have lcm n - 1, which divides phi(n) only for a prime.)
     The search runs a = 2, 3, ...; it meets a primitive root when n is prime,
     and at the latest n's least prime factor, which fails a**(n-1) = 1, when
-    n is not.  A prime's cost is that of factoring n - 1.
+    n is not.  A prime's cost is that of factoring n - 1 by rho: up to about
+    20 s for the worst of 164 random primes below 2**110, whose n - 1 has two
+    prime factors above 2**44.  Every modulus a paper claim reaches is at
+    most 11,793,600, inside the Miller-Rabin range, so that bound is
+    documented rather than met with a second splitter.
     """
     if n < 2:
         return False

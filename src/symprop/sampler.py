@@ -12,18 +12,26 @@ target t, trials T and successes s, the check is
 so no floating-point comparison can blur a verdict.  Alternating-group
 sampling rejects odd permutations, costing an expected factor 2.
 
+Permutations are drawn in batches sized by points, not rows: a batch
+holds max(1, POINTS // n) rows of n points, so its arrays stay in cache
+and memory is bounded by about max(POINTS, n) points whatever the trials
+and the degree.  Row i of one rng.permuted call is the i-th successive
+permutation, so no count depends on where the stream is cut.
+
 Every event is read off the length of the cycle through each point of
 a batch: pointer doubling gives each point its cycle's minimum in
 ceil(log2(n)) steps, and one bincount over the minima sizes the cycles.
-On a d-cycle g**e has order d/gcd(d, e), so the tests are elementwise.
+On a d-cycle g**e has order d/gcd(d, e), so g**m = 1 and event B are
+each a lookup of the lengths in a table over d <= n; event A compares
+a row's sorted lengths with the target type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, sqrt
-from typing import Iterator
+from math import gcd, inf, sqrt
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -132,7 +140,7 @@ def _cycle_lengths(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lengths, (n - cycles) % 2 == 0
 
 
-_BATCH = 1 << 14
+POINTS = 1 << 15  # points per batch: max(1, POINTS // n) rows of n points
 
 
 def _sample_batches(
@@ -146,7 +154,7 @@ def _sample_batches(
     rng = np.random.default_rng(seed)  # a Generator is used as it is
     need = trials
     while need > 0:
-        take = min(_BATCH, need if group == "S" else 2 * need)
+        take = min(max(1, POINTS // n), need if group == "S" else 2 * need)
         lengths, even = _cycle_lengths(rng.permuted(np.tile(np.arange(n), (take, 1)), axis=1))
         if group == "A":
             lengths = lengths[even]
@@ -156,21 +164,29 @@ def _sample_batches(
         yield lengths
 
 
-def _event_mask(spec: CaseSpec, event: str, lengths: np.ndarray) -> np.ndarray:
-    """Rows of exactly the target type (A) or with g**r of order s (B).
+def _event_mask(spec: CaseSpec, event: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The row test for exactly the target type (A) or g**r of order s (B).
 
     g**r has order lcm(k) for k = d/gcd(d, r) over the points; as s is
     1, 2 or 3, that is s iff every k divides s and, if s > 1, some k is s.
+    Both B tests are lookups in tables over the cycle lengths d <= n.
     """
     if event == "A":
         parts = np.array(spec.cycle_type.parts)
-        return (np.sort(lengths, axis=1) == np.repeat(parts, parts)).all(axis=1)
+        want = np.repeat(parts, parts)
+        return lambda lengths: (np.sort(lengths, axis=1) == want).all(axis=1)
     s = spec.power_order
-    k = lengths // np.gcd(lengths, spec.r)
-    ok = (s % k == 0).all(axis=1)
-    if s > 1:
-        ok &= (k == s).any(axis=1)
-    return ok
+    k = [0] + [d // gcd(d, spec.r) for d in range(1, spec.n + 1)]
+    ok = np.array([kd > 0 and s % kd == 0 for kd in k])
+    hit = np.array([kd == s for kd in k])
+
+    def mask(lengths: np.ndarray) -> np.ndarray:
+        rows = ok[lengths].all(axis=1)
+        if s > 1:
+            rows &= hit[lengths].any(axis=1)
+        return rows
+
+    return mask
 
 
 def estimate_order_divides(
@@ -212,7 +228,8 @@ def estimate_case_event(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spec = case_params(case_id, n)
-    hits = sum(int(_event_mask(spec, event, lengths).sum())
+    mask = _event_mask(spec, event)
+    hits = sum(int(mask(lengths).sum())
                for lengths in _sample_batches(seed, n, trials, spec.calc_group))
     target = prob_A(spec) if event == "A" else prob_B(spec)
     return SampleStats(trials, hits, target)
@@ -235,19 +252,22 @@ def search_cost_sim(
     episodes, with 1/prob_A as the exact mean target and the exact
     conditional as the b_hits target.
 
-    Draws come _BATCH at a time but are counted one by one up to the
-    last hit, so a Generator passed as `seed` ends up advanced further.
+    Draws come a batch of max(1, POINTS // n) rows at a time but are
+    counted one by one up to the last hit, so a Generator passed as
+    `seed` ends up advanced past the last draw counted by less than one
+    batch: fewer than max(1, POINTS // n) rows.
     """
     spec = case_params(case_id, n)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    mask_a, mask_b = _event_mask(spec, "A"), _event_mask(spec, "B")
     draws = b_hits = 0
     need = episodes
     for lengths in _sample_batches(seed, spec.n, inf, spec.calc_group):
-        hit = np.flatnonzero(_event_mask(spec, "A", lengths))
+        hit = np.flatnonzero(mask_a(lengths))
         stop = hit[need - 1] + 1 if len(hit) >= need else len(lengths)
         draws += int(stop)
-        b_hits += int(_event_mask(spec, "B", lengths[:stop]).sum())
+        b_hits += int(mask_b(lengths[:stop]).sum())
         need -= min(need, len(hit))
         if not need:
             break

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -259,3 +260,21 @@ def test_internal_fault_is_not_a_usage_error():
     assert out.returncode == 3
     assert out.stdout == ""
     assert "Traceback" in out.stderr and "injected fault" in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop", "--n", "4", "--m", "3"],  # fits the buffer: fails at the final flush
+    ["verify-shat", "--m-max", "100"],
+])
+def test_reader_closing_stdout_early_is_not_a_fault(argv):
+    # the read end is closed before the command writes a byte, so every
+    # write meets a broken pipe, whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(CLI + argv, stdout=write_end, stderr=subprocess.PIPE,
+                             text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141
+    assert out.stderr == ""

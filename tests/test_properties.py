@@ -219,8 +219,8 @@ def test_event_masks_match_cycle_types(perms, r, s):
     types = [CycleType(tuple(map(len, _walk_cycles(p)))) for p in perms]
     spec = CaseSpec(0, len(perms[0]), r, types[0], s)
     lengths, _ = _cycle_lengths(np.array(perms))
-    assert _event_mask(spec, "A", lengths).tolist() == [t == types[0] for t in types]
-    assert _event_mask(spec, "B", lengths).tolist() == [power_order(t.parts, r) == s for t in types]
+    assert _event_mask(spec, "A")(lengths).tolist() == [t == types[0] for t in types]
+    assert _event_mask(spec, "B")(lengths).tolist() == [power_order(t.parts, r) == s for t in types]
 
 
 @cache

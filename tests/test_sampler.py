@@ -8,8 +8,9 @@ import pytest
 from oracles import iter_partitions
 from symprop.proportions import CycleType
 from symprop.recognition import admissible_degrees, case_params, cond_prob, prob_A, prob_B
+from symprop import sampler
 from symprop.sampler import (
-    _BATCH,
+    POINTS,
     SampleStats,
     SearchStats,
     _sample_batches,
@@ -146,6 +147,36 @@ def _traced_peak(fn) -> int:
 def test_memory_does_not_grow_with_trials():
     # batches are streamed, so four times the trials may not cost four
     # times the memory
-    small = _traced_peak(lambda: estimate_order_divides(50, 12, 2 * _BATCH, seed=1))
-    large = _traced_peak(lambda: estimate_order_divides(50, 12, 8 * _BATCH, seed=1))
+    rows = POINTS // 50
+    small = _traced_peak(lambda: estimate_order_divides(50, 12, 2 * rows, seed=1))
+    large = _traced_peak(lambda: estimate_order_divides(50, 12, 8 * rows, seed=1))
     assert large <= 1.25 * small, (small, large)
+
+
+def test_memory_does_not_grow_with_degree():
+    # a batch holds about POINTS points however large n is; a batch of
+    # 1,000 rows at n = 1,000 would hold a million
+    peak = _traced_peak(lambda: estimate_order_divides(1000, 12, 1000, seed=1))
+    assert peak < 8 * 2**20, peak
+
+
+def _seeded_counts() -> list[tuple[int, ...]]:
+    counts = []
+    for n, m, group in ((9, 12, "S"), (10, 6, "A"), (70, 60, "S")):
+        st = estimate_order_divides(n, m, 700, seed=n, group=group)
+        counts.append((st.trials, st.successes))
+    for cid, n in ((1, 8), (2, 9), (4, 11), (6, 10), (10, 13)):
+        for event in "AB":
+            st = estimate_case_event(cid, n, event, 300, seed=cid)
+            counts.append((st.trials, st.successes))
+        st = search_cost_sim(cid, 5, n=n, seed=cid)
+        counts.append((st.trials, st.successes, st.b_hits))
+    return counts
+
+
+def test_counts_do_not_depend_on_batch_size(monkeypatch):
+    # row i of the stream is the same permutation however the stream is
+    # cut, so one row per batch gives the counts of the default budget
+    default = _seeded_counts()
+    monkeypatch.setattr(sampler, "POINTS", 1)
+    assert _seeded_counts() == default
