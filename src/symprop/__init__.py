@@ -38,6 +38,7 @@ from .recognition import (
     CaseSpec,
     case_params,
     cond_prob,
+    cond_probs,
     lower_bound_for,
     prob_A,
     prob_B,
@@ -67,6 +68,7 @@ __all__ = [
     "case_params",
     "check_prop_upper_bound",
     "cond_prob",
+    "cond_probs",
     "divisor_list",
     "divisor_rich_candidates",
     "estimate_order_divides",

@@ -21,7 +21,9 @@ contracts with newline line endings (byte-stable across runs for equal
 arguments and seed), "json" mirrors the csv fields.  Each command builds
 its records and text lines and hands them to :func:`symprop.reports.emit`,
 the one writer of results; integers print with every digit at any size.
-The library calls a command makes build the proportion rows they read.
+The library calls a command makes build the proportion rows they read;
+csv/json verify-thm2 and table2 make one batch of exact conditionals,
+which builds each modulus's row once for all selected cases and degrees.
 Progress for long sweeps goes to stderr, never stdout, through
 :func:`symprop.reports.note`, and so does the count of cells the float
 filter decided in verify-thm1 and table-mode verify-thm2.
@@ -50,8 +52,8 @@ from .divisors import applicable_variants, check_divisor_count_bound, divisor_li
 from .divisors import gamma_value, sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
 from .proportions import prop_alternating, prop_order_dividing, prop_order_dividing_signed
 from .proportions import prop_split
-from .recognition import TABLE2_EXCEPTIONS, _inadmissible, case_params, cond_prob
-from .recognition import sweep_theorem2, verify_theorem2
+from .recognition import TABLE2_EXCEPTIONS, _inadmissible, admissible_degrees, case_params
+from .recognition import cond_probs, sweep_theorem2
 from .reports import BoundReport, CondProbReport, cell, emit, exact, frac, value
 from .sampler import estimate_case_event, estimate_order_divides, search_cost_sim
 
@@ -174,7 +176,8 @@ def cmd_verify_shat(args: argparse.Namespace) -> int:
 def _thm2_windows(args: argparse.Namespace) -> list[tuple[int, int, int]]:
     """(case, n_lo, n_hi) of each selected case, unset ends taking their defaults."""
     cases = [args.case] if args.case else range(1, 11)
-    return [(cid, args.n_lo or 1, args.n_hi or _THM2_DEFAULT_HI.get(cid, _THM2_FALLBACK_HI))
+    return [(cid, 1 if args.n_lo is None else args.n_lo,
+             _THM2_DEFAULT_HI.get(cid, _THM2_FALLBACK_HI) if args.n_hi is None else args.n_hi)
             for cid in cases]
 
 
@@ -184,12 +187,14 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
     failures: list[CondProbReport] = []
 
     def every_degree() -> Iterator[dict]:
-        # csv and json carry every degree, so each one is computed exactly
-        for cid, lo, hi in ranges:
-            for rep in verify_theorem2(cid, lo, hi):
-                if not rep.passed:
-                    failures.append(rep)
-                yield rep.record()
+        # csv and json carry every degree, so each one is computed exactly,
+        # in one batch over every case so that cases share proportion rows
+        specs = [case_params(cid, n) for cid, lo, hi in ranges
+                 for n in admissible_degrees(cid, lo, hi)]
+        for rep in cond_probs(specs):
+            if not rep.passed:
+                failures.append(rep)
+            yield rep.record()
 
     def summary() -> Iterator[str]:
         # the table lists only the failures, so the float filter may pass the rest
@@ -208,7 +213,7 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    reports = [cond_prob(case_params(cid, n)) for cid, n in sorted(TABLE2_EXCEPTIONS)]
+    reports = cond_probs([case_params(cid, n) for cid, n in sorted(TABLE2_EXCEPTIONS)])
     emit(args.format, CondProbReport.columns, (r.record() for r in reports),
          (r.line() for r in reports))
     return 0 if all(r.passed for r in reports) else 1

@@ -187,7 +187,12 @@ class ProportionTable:
     degree L of the request that built it.  A parity row also answers plain
     queries, and for odd m a plain row serves signed queries too, as every
     permutation whose order divides m is even.  Any request the kept row
-    does not cover replaces it with a row built to that request's degree.
+    does not cover replaces it with a row built to that request's degree,
+    so a caller that reads one modulus at several degrees first calls
+    ``ensure`` at the top one.  The exact theorem-2 path does so: each
+    modulus gets one table, and its row, built once to the highest degree
+    read, serves every family and degree that reads that modulus, in S_n
+    and in A_n (see :func:`symprop.recognition.cond_probs`).
 
     ``prop`` forms one Fraction F(n)/L!.  ``count`` divides F(n) by L!/n!,
     which it derives from the last degree it read, so reads in ascending

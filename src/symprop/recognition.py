@@ -35,7 +35,15 @@ the conditional probability is the same whether computed in S_n or in
 A_n; those cases are computed in S_n.  Cases 4, 5 and 10 are computed
 in A_n, from the share of even permutations.
 
-All probabilities are exact rationals.  :func:`sweep_theorem2` passes a
+All probabilities are exact rationals.  Every exact conditional comes
+from :func:`cond_probs`, which evaluates a batch of degrees of any families
+at once: each distinct modulus of their P(B) terms gets one proportion row,
+built once to the highest degree any of them reads, so families that share
+a modulus share its row: a modulus m is r = n - offset for every family at
+its own degree n = m + offset, families 2 and 3 share 2r, and families 6 to
+10 share 3r.
+:func:`cond_prob`, :func:`verify_theorem2` and the command line's table2 and
+csv/json verify-thm2 all go through it.  :func:`sweep_theorem2` passes a
 degree without them only when P(A) over the upper end of the float64
 enclosure of P(B) (see :mod:`symprop.proportions`), a rational lower bound
 for P(A | B), already clears both floors by the same exact predicate that
@@ -48,6 +56,7 @@ where 1/4, 3/10 or 3/20 is the true floor.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -56,14 +65,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .divisors import divisor_list, gamma_value
-from .proportions import (
-    CycleType,
-    filter_then_exact,
-    prop_alternating,
-    prop_enclosure,
-    prop_order_dividing,
-)
-from .reports import BoundReport, CondProbReport, note
+from .proportions import CycleType, ProportionTable, filter_then_exact, prop_enclosure
+from .reports import BoundReport, CondProbReport
 
 __all__ = [
     "CaseSpec",
@@ -74,6 +77,7 @@ __all__ = [
     "prob_B",
     "prob_B_upper_bound",
     "cond_prob",
+    "cond_probs",
     "lower_bound_for",
     "check_n23_bound",
     "verify_theorem2",
@@ -228,11 +232,38 @@ def _b_moduli(spec: CaseSpec) -> tuple[int, ...]:
     return (spec.r,) if spec.power_order == 1 else (spec.order_bound, spec.r)
 
 
+def _probs_B(specs: Sequence[CaseSpec]) -> list[Fraction]:
+    """Exact P(B) of every spec, one proportion row per distinct modulus.
+
+    The moduli of all the specs' terms (see :func:`_b_moduli`) are visited
+    in ascending order.  Each gets one :class:`ProportionTable` row, built
+    once to the highest degree any spec reads from it, with parity when some
+    spec reads it in A_n; the table is dropped before the next modulus.  The
+    A_n value is the plain proportion plus the signed one, as in
+    :func:`~symprop.proportions.prop_alternating`.
+    """
+    reads: dict[int, list[tuple[int, int]]] = defaultdict(list)  # m -> [(spec, term)]
+    terms = [list(_b_moduli(spec)) for spec in specs]  # each modulus, then its proportion
+    for i, moduli in enumerate(terms):
+        for j, m in enumerate(moduli):
+            reads[m].append((i, j))
+    for m in sorted(reads):
+        at = reads[m]
+        alternating = any(specs[i].calc_group == "A" for i, _ in at)
+        table = ProportionTable()
+        table.ensure(m, max(specs[i].n for i, _ in at), signed=alternating)
+        for i, j in at:
+            n = specs[i].n
+            value = table.prop(n, m)
+            if specs[i].calc_group == "A":
+                value += table.prop(n, m, signed=True)
+            terms[i][j] = value
+    return [t[0] - sum(t[1:]) for t in terms]
+
+
 def prob_B(spec: CaseSpec) -> Fraction:
     """Exact probability of the power condition in ``calc_group``."""
-    prop = prop_alternating if spec.calc_group == "A" else prop_order_dividing
-    terms = [prop(spec.n, m) for m in _b_moduli(spec)]
-    return terms[0] - sum(terms[1:])
+    return _probs_B([spec])[0]
 
 
 def prob_B_upper_bound(spec: CaseSpec) -> Fraction:
@@ -260,16 +291,28 @@ def lower_bound_for(spec: CaseSpec) -> Fraction:
     return _FLOOR_EXCEPTIONS.get((spec.case_id, spec.n), _FAMILIES[spec.case_id].floor)
 
 
+def cond_probs(specs: Sequence[CaseSpec]) -> list[CondProbReport]:
+    """The exact conditional P(A | B) = P(A)/P(B) of every spec, in input
+    order; a report passes only if both floors hold (see :func:`_floors_hold`).
+
+    Every P(B) of the batch comes from one pass over the distinct moduli
+    (see :func:`_probs_B`), so specs that share a modulus, at any degree and
+    in either group, share its row.
+    """
+    out: list[CondProbReport] = []
+    for spec, p_b in zip(specs, _probs_B(specs)):
+        if p_b == 0:
+            raise ZeroDivisionError(f"event B impossible for case {spec.case_id}, n = {spec.n}")
+        p_a = prob_A(spec)
+        quotient = p_a / p_b
+        out.append(CondProbReport(spec.case_id, spec.n, spec.r, p_a, p_b, quotient,
+                                  lower_bound_for(spec), _floors_hold(spec, quotient)))
+    return out
+
+
 def cond_prob(spec: CaseSpec) -> CondProbReport:
-    """The exact conditional P(A | B) = P(A)/P(B); it passes only if both
-    floors hold (see :func:`_floors_hold`)."""
-    p_a = prob_A(spec)
-    p_b = prob_B(spec)
-    if p_b == 0:
-        raise ZeroDivisionError(f"event B impossible for case {spec.case_id}, n = {spec.n}")
-    quotient = p_a / p_b
-    return CondProbReport(spec.case_id, spec.n, spec.r, p_a, p_b, quotient,
-                          lower_bound_for(spec), _floors_hold(spec, quotient))
+    """The exact conditional of one spec (see :func:`cond_probs`)."""
+    return cond_probs([spec])[0]
 
 
 def _n23_parameters(spec: CaseSpec) -> tuple[Fraction, int, int, int]:
@@ -303,15 +346,10 @@ def verify_theorem2(case_id: int, n_lo: int, n_hi: int) -> list[CondProbReport]:
     """Exact conditionals for every admissible degree in [n_lo, n_hi].
 
     Each report's pass flag requires both the absolute floor and the
-    n^(2/3)-shaped floor.  Reports come back sorted by degree.
+    n^(2/3)-shaped floor.  Reports come back sorted by degree, from one
+    :func:`cond_probs` batch.
     """
-    out: list[CondProbReport] = []
-    degrees = list(admissible_degrees(case_id, n_lo, n_hi))
-    for i, n in enumerate(degrees):
-        out.append(cond_prob(case_params(case_id, n)))
-        if (i + 1) % 50 == 0:
-            note(f"case {case_id}: {i + 1}/{len(degrees)} degrees")
-    return out
+    return cond_probs([case_params(case_id, n) for n in admissible_degrees(case_id, n_lo, n_hi)])
 
 
 def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[tuple[int, int]]:

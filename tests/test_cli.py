@@ -217,6 +217,7 @@ def test_sample_with_a_modulus_beyond_int64():
     ["verify-thm2", "--n-lo", "500", "--n-hi", "400"],
     ["verify-thm2", "--case", "2", "--n-lo", "500"],
     ["verify-thm2", "--n-lo", "500"],
+    ["verify-thm2", "--case", "1", "--n-hi", "0"],
     ["lemma-check", "--pairs-max", "-3"],
     ["sample", "--n", "1", "--m", "2", "--group", "A"],
     ["sample", "--case", "2", "--n", "10"],

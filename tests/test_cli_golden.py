@@ -38,6 +38,11 @@ The last four ``_SINGLE`` entries (a signed ``prop``, an ``alt-prop``, a
 ``split`` and the family-10 ``verify-thm2`` csv that holds the exact FAILs
 at n = 37 and n = 85) were captured before the exact row kernel of
 ``proportions.py`` moved to rows scaled by N!, from the code it replaced.
+
+The ``verify-thm2 --n-lo 100 --n-hi 130`` entries, a window where the
+families read one modulus at several degrees, were captured before the
+exact theorem-2 path began to build each modulus's row once for all
+families, from the per-degree code it replaced.
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ _PER_FORMAT = [
     ["search-sim", "--case", "4", "--n", "9", "--episodes", "200", "--seed", "5"],
     ["search-sim", "--case", "10", "--n", "13", "--episodes", "100", "--seed", "8"],
     ["sample", "--case", "10", "--n", "13", "--event", "B", "--trials", "3000", "--seed", "6"],
+    ["verify-thm2", "--n-lo", "100", "--n-hi", "130"],
 ]
 
 # Single invocations in one format only.

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from symprop import bounds, cli, proportions, recognition
 from symprop.bounds import check_prop_upper_bound, sweep_prop_bound
-from symprop.proportions import ProportionTable, prop_alternating, prop_enclosure
+from symprop.proportions import (
+    ProportionTable,
+    prop_alternating,
+    prop_enclosure,
+    prop_order_dividing,
+)
 from symprop.recognition import sweep_theorem2, verify_theorem2
 
 PRIMES = [p for p in range(2, 1200) if all(p % q for q in range(2, int(p**0.5) + 1))]
@@ -55,6 +60,15 @@ def test_enclosure_past_the_underflow():
     assert lo[250, 0] <= 0 < hi[250, 0]
     assert lo[250, 0].item() <= table.prop(250, 1201) <= hi[250, 0].item()
     assert lo[250, 2].item() <= table.prop(250, 360) <= hi[250, 2].item()
+
+
+def test_enclosure_at_a_tier_a_degree():
+    # family 9 at n = 7321 (r = 7315) reads m = 3r and m = r in S_n, far
+    # beyond the degrees of the property test above
+    n, r = 7321, 7315
+    lo, hi = prop_enclosure([3 * r, r], n)
+    for i, m in enumerate((3 * r, r)):
+        assert lo[n, i].item() <= prop_order_dividing(n, m) <= hi[n, i].item(), m
 
 
 def _run(argv):

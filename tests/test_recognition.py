@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
 from oracles import prob_A_centralizer, prob_A_rcycle
+from symprop import cli
+from symprop.proportions import ProportionTable, prop_alternating, prop_order_dividing
 from symprop.recognition import (
     CASE1_WEAK_NS,
     TABLE2_EXCEPTIONS,
@@ -15,6 +20,7 @@ from symprop.recognition import (
     case_params,
     check_n23_bound,
     cond_prob,
+    cond_probs,
     lower_bound_for,
     prob_A,
     prob_B,
@@ -98,6 +104,42 @@ def test_prob_b_forms(table):
     assert prob_B(case_params(4, 5)) == Fraction(5, 12)
     expected = table.prop(9, 14) - table.prop(9, 7)
     assert prob_B(case_params(2, 9)) == expected
+
+
+def _specs_upto(n_hi):
+    return [case_params(cid, n) for cid in ALL_CASES for n in admissible_degrees(cid, 1, n_hi)]
+
+
+def test_batch_matches_terms_computed_one_by_one():
+    # every family at n <= 60 in one batch, so rows are shared across
+    # families, degrees and groups; each P(B) is recomputed term by term
+    specs = _specs_upto(60)
+    reports = cond_probs(specs)
+    assert [(r.case_id, r.n) for r in reports] == [(s.case_id, s.n) for s in specs]
+    for spec, rep in zip(specs, reports):
+        prop = prop_alternating if spec.calc_group == "A" else prop_order_dividing
+        m = spec.power_order * spec.r
+        want = prop(spec.n, m) - (prop(spec.n, spec.r) if spec.power_order > 1 else 0)
+        assert rep.p_B == want, (spec.case_id, spec.n)
+        assert rep.p_A_given_B == prob_A(spec) / want, (spec.case_id, spec.n)
+
+
+def test_exact_csv_builds_each_modulus_row_once(monkeypatch):
+    built = []
+    build = ProportionTable._build
+
+    def counting(self, m, parity, upto):
+        rows = self._rows
+        build(self, m, parity, upto)
+        if self._rows is not rows:  # a real build, not a row already kept
+            built.append(m)
+
+    monkeypatch.setattr(ProportionTable, "_build", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify-thm2", "--n-hi", "60", "--format", "csv"]) == 1
+    moduli = {m for spec in _specs_upto(60)
+              for m in {spec.r, spec.power_order * spec.r}}
+    assert Counter(built) == Counter(moduli)
 
 
 def test_prob_b_upper_bound_window():
