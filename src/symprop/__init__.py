@@ -42,7 +42,6 @@ from .recognition import (
     lower_bound_for,
     prob_A,
     prob_B,
-    verify_theorem2,
 )
 from .reports import BoundReport, CondProbReport
 from .sampler import (
@@ -87,6 +86,5 @@ __all__ = [
     "sweep_prop_bound",
     "verify_exceptional_m",
     "verify_shat_condition",
-    "verify_theorem2",
     "__version__",
 ]

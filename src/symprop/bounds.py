@@ -13,9 +13,9 @@ reports every failure with exact sides.  So a pass is certified either by
 the written float bound or by exact arithmetic, and every FAIL is exact.
 
 The supporting computational step works divisor by divisor: for every
-divisor d of m lying above gamma(m)*sqrt(m), the relaxed summation must
+divisor d of m lying above gamma(m)*sqrt(m), the relaxed summation S-hat must
 stay below (d-1)(d-2)(1 + gamma*m/d).  That check fails precisely for
-m = 72 and m = 120, and for those two values the capped summation is
+m = 72 and m = 120, and for those two values the capped summation S is
 instead compared directly against (n-1)(n-2)(1 + gamma*m/n) over the
 whole range sqrt(gamma*m) <= n <= m + 1.
 
@@ -44,7 +44,6 @@ from .divisors import C0_CUBED, divisor_list, divisor_rich_candidates, gamma_val
 from .enclosure import cbrt_enclosure, sqrt_enclosure
 from .proportions import (
     _arrangement_weights,
-    _RelaxedEvaluator,
     filter_then_exact,
     prop_enclosure,
     prop_order_dividing,
@@ -144,6 +143,53 @@ def prop_upper_bound_near(n: int, m: int) -> Fraction:
 # --- the divisor-by-divisor computational step -------------------------------
 
 
+def _capped_sums(m: int, top: int) -> list[int]:
+    """The summation S(n, m) at index n, for every n <= top:
+
+    S(n,m) = sum_{d|m, 3<=d<=n} (d-1)(d-2)
+             + 3 * sum_{d1,d2|m, 2<=d2, d1+d2<=n} (d2-1)
+             + #{(d1,d2,d3): di|m, d1+d2+d3 <= n}         (ordered tuples).
+
+    It is :func:`~symprop.proportions.prop_split` with every P(n - s, m)
+    set to 1, times n!/(n-3)!, so (n-3)!/n! times it majorizes P(n, m) for
+    n >= 3.  Every term sits at a total length s <= n, so S(n, m) is a
+    prefix sum of the arrangement weights built once, at n = top.
+    """
+    one, two, three = _arrangement_weights(divisor_list(m), top)
+    return list(accumulate(a + 3 * b + c for a, b, c in zip(one, two, three)))
+
+
+def _relaxed_sums(m: int, args: Sequence[int]) -> list[int]:
+    """The relaxed summation S-hat(a, m) for each a in ``args``: the three
+    sums of S with each divisor capped at a but pair and triple sums at m.
+
+    Split the divisors of m into the small ones (3d <= m, so any pair or
+    triple of them passes the sum cap) and the rest, which can only be m/2
+    or m: a divisor in (m/3, m] other than those would leave a cofactor
+    strictly between 1 and 3.  Everything then reduces to prefix sums over
+    the small divisors plus a correction for m/2, with one genuinely
+    quadratic piece: the ordered pairs of small divisors summing to at most
+    m/2.  It is needed only for arguments at or above m/2, where every small
+    divisor counts, so it is one number.  All of it is built once per m.
+    """
+    ds = divisor_list(m)
+    quad = list(accumulate(((d - 1) * (d - 2) for d in ds), initial=0))
+    lin = list(accumulate((d - 1 for d in ds), initial=0))
+    small = bisect_right(ds, m // 3)
+    for d in ds[small:]:
+        assert d == m or 2 * d == m
+    half = m // 2 if m % 2 == 0 else 0
+    half_pairs = sum(bisect_right(ds, half - x, 0, small) for x in ds[:small]) if half else 0
+    out = []
+    for a in args:
+        i = bisect_right(ds, a)
+        s = min(i, small)
+        h = 1 if half and half <= a else 0  # h implies s == small
+        pairs = lin[s] * (s + h) + h * (half - 1) * (s + 1)
+        out.append(quad[i] + 3 * pairs + s**3 + 3 * h * half_pairs)
+    return out
+
+
 def _tightest(sides: Iterable[tuple[int, int, int]]
               ) -> tuple[list[int], tuple[int, int, int] | None]:
     """For instances (lhs, rhs, x) of lhs <= rhs, rhs > 0: the x that fail,
@@ -161,9 +207,10 @@ def _tightest(sides: Iterable[tuple[int, int, int]]
 def verify_shat_condition(m: int) -> BoundReport:
     """Check, for every divisor d of m with d > gamma(m) * sqrt(m), that
 
-        S_relaxed(d, m) <= (d-1)(d-2)(1 + gamma(m)*m/d).
+        S-hat(d, m) <= (d-1)(d-2)(1 + gamma(m)*m/d),
 
-    The threshold comparison is exact (d**2 * q**2 > p**2 * m for
+    S-hat read from :func:`_relaxed_sums` for all of them at once.  The
+    threshold comparison is exact (d**2 * q**2 > p**2 * m for
     gamma = p/q) and the main comparison is cross-multiplied by d*q.
     The report fails iff some qualifying divisor violates the
     inequality; the witness names all of them.  Across 2 <= m <= 2000
@@ -178,15 +225,15 @@ def verify_shat_condition(m: int) -> BoundReport:
         raise ValueError("needs m >= 2")
     g = gamma_value(m)
     p, q = g.numerator, g.denominator
-    ev = _RelaxedEvaluator(m)
     divs, p2m = divisor_list(m), p * p * m
     # d*q > sqrt(p2m) iff d*q > isqrt(p2m), so the qualifying divisors are a
     # suffix, and only the divisor just below it can sit on the threshold
     first = bisect_right(divs, isqrt(p2m) // q)
     boundary = [d for d in divs[first - 1 : first] if d * d * q * q == p2m]
+    above = divs[first:]
     # rhs > 0, as d > gamma*sqrt(m) >= 2*sqrt(2)
-    failing, tight = _tightest([(ev.value(d) * d * q, (d - 1) * (d - 2) * (d * q + p * m), d)
-                                for d in divs[first:]])
+    failing, tight = _tightest([(s * d * q, (d - 1) * (d - 2) * (d * q + p * m), d)
+                                for d, s in zip(above, _relaxed_sums(m, above))])
     notes = []
     if failing:
         notes.append("fails at d=" + ",".join(map(str, failing)))
@@ -202,7 +249,7 @@ def verify_shat_condition(m: int) -> BoundReport:
 
 
 def verify_exceptional_m(m: int) -> BoundReport:
-    """Direct check S_capped(n, m) <= (n-1)(n-2)(1 + gamma*m/n) for all
+    """Direct check S(n, m) <= (n-1)(n-2)(1 + gamma*m/n) for all
     n with sqrt(gamma*m) <= n <= m + 1; only m = 72 and m = 120 qualify.
     """
     if m not in EXPECTED_MAJORANT_FAILURES:
@@ -210,9 +257,7 @@ def verify_exceptional_m(m: int) -> BoundReport:
     g = gamma_value(m)
     p, q = g.numerator, g.denominator
     n0 = isqrt(-(-p * m // q) - 1) + 1  # the least n with n*n >= ceil(p*m/q)
-    # the weights at n = m + 1 give S_capped(n, m) for every n as a prefix sum
-    one, two, three = _arrangement_weights(divisor_list(m), m + 1)
-    capped = list(accumulate(a + 3 * b + c for a, b, c in zip(one, two, three)))
+    capped = _capped_sums(m, m + 1)
     # rhs > 0, as n >= sqrt(gamma*m) > 2
     failing, (lhs, rhs, n_t) = _tightest(
         (capped[n] * n * q, (n - 1) * (n - 2) * (n * q + p * m), n) for n in range(n0, m + 2))

@@ -288,8 +288,13 @@ def _check_verify_thm1(args: argparse.Namespace) -> str | None:
 
 
 def _check_verify_thm2(args: argparse.Namespace) -> str | None:
-    empty = [f"case {cid} ends at n = {hi}" for cid, lo, hi in _thm2_windows(args) if lo > hi]
-    return f"need --n-lo <= --n-hi: {empty[0]}" if empty else None
+    windows = _thm2_windows(args)
+    empty = [f"case {cid} ends at n = {hi}" for cid, lo, hi in windows if lo > hi]
+    if empty:
+        return f"need --n-lo <= --n-hi: {empty[0]}"
+    bare = [f"case {cid} has no admissible degree in {lo}..{hi}" for cid, lo, hi in windows
+            if next(admissible_degrees(cid, lo, hi), None) is None]
+    return bare[0] if bare else None
 
 
 def _check_sample(args: argparse.Namespace) -> str | None:
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("prop", parents=[common], help="proportion with order dividing m")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--m", type=positive, required=True)
     p.add_argument("--signed", action="store_true", help="parity-signed variant")
     p.set_defaults(func=cmd_prop)

@@ -13,11 +13,9 @@ and a reported pass is a proof for that n.  The one-n check and the sieve
 sweep both read that table.
 
 Also provided: the step function ``gamma_value`` used by the proportion bounds,
-the exact per-prime factors ``(alpha+1)**3/p**alpha`` whose products over
-primes are the cube-root constants, the explicit finite set of candidate
-exceptions to the refined bound, a quadratic divisor-sum inequality, and
-the module's one primality
-test, :func:`is_prime`: Miller-Rabin on the first 13 primes, which is exact
+the explicit finite set of candidate exceptions to the refined bound, a
+quadratic divisor-sum inequality, and the module's one primality test,
+:func:`is_prime`: Miller-Rabin on the first 13 primes, which is exact
 below 3.3e24, and above that a proof on the completely factored n - 1.
 """
 
@@ -38,8 +36,6 @@ from .reports import BoundReport, note
 __all__ = [
     "divisor_list",
     "gamma_value",
-    "peak_exponent",
-    "divisor_ratio_cube",
     "is_prime",
     "COUNT_BOUNDS",
     "CUBE_CONSTANTS",
@@ -203,29 +199,6 @@ def is_prime(n: int) -> bool:
             if x != 1:  # the order of a holds the full power of q in n - 1
                 break
     return True
-
-
-def peak_exponent(p: int) -> int:
-    """The exponent at which (alpha+1)/p**(alpha/3) peaks over alpha >= 0.
-
-    Equals floor(1/(p**(1/3)-1)) for prime p, computed without floats:
-    the largest k >= 1 with p*k**3 <= (k+1)**3, and 0 when there is none.
-    """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    best = 0
-    k = 1
-    while p * k**3 <= (k + 1) ** 3:
-        best = k
-        k += 1
-    return best
-
-
-def divisor_ratio_cube(p: int, alpha: int) -> Fraction:
-    """(alpha+1)**3/p**alpha, the cube of the per-prime factor of d(n)/n^(1/3)."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return Fraction((alpha + 1) ** 3, p**alpha)
 
 
 # variant -> (k, C**k, covers): d(n)**k <= C**k * n for every n that covers

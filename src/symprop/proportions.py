@@ -5,7 +5,7 @@ have order dividing m, equivalently whose cycle lengths all divide m.
 Conditioning on the length d of the cycle through a fixed point gives the
 recursion
 
-    P(n, m) = (1/n) * sum_{d | m, d <= n} P(n - d, m),      P(r, m) = 1 for r <= 0,
+    P(n, m) = (1/n) * sum_{d | m, d <= n} P(n - d, m),      P(0, m) = 1,
 
 because a cycle of length d through the point can be completed in
 (n-1)!/(n-d)! ways.  Splitting S_k into its even and odd permutations, with
@@ -57,12 +57,12 @@ divisors d <= n of m.  Why it holds:
   rounded outward by one step (nextafter).
 
 The module also provides the split of P(n, m) by how three marked points
-fall among the cycles, and two divisor summations S and S-hat that
-majorize n(n-1)(n-2) times cycle-count contributions.  The split weighs each
-P(n - s, m) by the ways the cycles through the three points can have total
-length s; S(n, m) is that split with every P set to 1, so the two read one
-weight table.  The brute-force oracles these are tested against live in
-``tests/oracles.py``.
+fall among the cycles.  It weighs each P(n - s, m) by the ways the cycles
+through the three points can have total length s.  The divisor summation
+S(n, m) of :mod:`symprop.bounds` is that split with every P set to 1,
+times n(n-1)(n-2), so the two read one weight table,
+``_arrangement_weights``.  The brute-force oracles these are tested against
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from math import factorial, lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
@@ -92,8 +92,6 @@ __all__ = [
     "filter_then_exact",
     "SplitProportions",
     "prop_split",
-    "divisor_sum_capped",
-    "divisor_sum_relaxed",
 ]
 
 
@@ -262,7 +260,9 @@ class ProportionTable:
     def prop(self, n: int, m: int, signed: bool = False) -> Fraction:
         if m < 1:
             raise ValueError("m must be positive")
-        if n <= 0:
+        if n < 0:
+            raise ValueError("prop is defined for n >= 0")
+        if n == 0:
             return Fraction(1)
         self._build(m, signed, n)
         return Fraction(self._value(n, signed), self._scale)
@@ -272,7 +272,7 @@ class ProportionTable:
 
 
 def prop_order_dividing(n: int, m: int) -> Fraction:
-    """Proportion of S_n whose element orders divide m (n <= 0 gives 1)."""
+    """Proportion of S_n whose element orders divide m (n = 0 gives 1)."""
     return ProportionTable().prop(n, m)
 
 
@@ -458,81 +458,3 @@ def prop_split(n: int, m: int) -> SplitProportions:
                   for weights in _arrangement_weights(_divisors_upto(m, n), n))
     den = n * (n - 1) * (n - 2) * scale
     return SplitProportions(Fraction(p1, den), Fraction(3 * p2, den), Fraction(p3, den))
-
-
-# --- the two majorizing divisor summations -----------------------------------
-
-
-def divisor_sum_capped(n: int, m: int) -> Fraction:
-    """The summation S(n, m): partial sums of divisors capped at n.
-
-    S(n,m) = sum_{d|m, 3<=d<=n} (d-1)(d-2)
-             + 3 * sum_{d1,d2|m, 2<=d2, d1+d2<=n} (d2-1)
-             + #{(d1,d2,d3): di|m, d1+d2+d3 <= n}         (ordered tuples).
-
-    It is :func:`prop_split` with every P(n - s, m) set to 1, times n!/(n-3)!,
-    so (n-3)!/n! times it majorizes P(n, m); needs n >= 3.
-    """
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    one, two, three = _arrangement_weights(_divisors_upto(m, n), n)
-    return Fraction(sum(one) + 3 * sum(two) + sum(three))
-
-
-class _RelaxedEvaluator:
-    """Per-m closed-form evaluation of the relaxed summation.
-
-    The relaxed variant caps individual divisors at the first argument but
-    partial sums at m.  Split the admissible divisors into the small ones
-    (3d <= m, so any pair or triple of them passes the sum cap) and the
-    rest, which can only be m/2 or m: a divisor in (m/3, m] other than
-    those would leave a cofactor strictly between 1 and 3.  Everything
-    then reduces to prefix sums over the small divisors plus a correction
-    for m/2, with one genuinely quadratic piece: the ordered pairs of small
-    divisors summing to at most m/2.  It is needed only for arguments at or
-    above m/2, where every small divisor counts, so it is one number.
-    """
-
-    __slots__ = ("m", "ds", "quad", "lin", "s_cap", "half", "half_pairs")
-
-    def __init__(self, m: int) -> None:
-        ds = divisor_list(m)
-        self.m = m
-        self.ds = ds
-        self.quad = list(accumulate(((d - 1) * (d - 2) for d in ds), initial=0))
-        self.lin = list(accumulate((d - 1 for d in ds), initial=0))
-        self.s_cap = bisect_right(ds, m // 3)
-        for d in ds[self.s_cap :]:
-            assert d == m or 2 * d == m
-        self.half = m // 2 if m % 2 == 0 else 0
-        cap = m // 2
-        self.half_pairs = sum(bisect_right(ds, cap - x, 0, self.s_cap) for x in ds[: self.s_cap])
-
-    def value(self, arg: int) -> int:
-        ds = self.ds
-        m = self.m
-        i = bisect_right(ds, arg)
-        first = self.quad[i]
-        s = min(i, self.s_cap)
-        h = 1 if self.half and self.half <= arg else 0
-        w = self.lin[s]
-        pairs = w * (s + h)
-        if h:
-            pairs += (m // 2 - 1) * (s + 1)
-        third = s**3 + 3 * h * self.half_pairs  # h implies s == s_cap
-        return first + 3 * pairs + third
-
-
-def divisor_sum_relaxed(n: int, m: int) -> Fraction:
-    """The relaxed summation: divisors capped at n, partial sums at m.
-
-    Same three sums as :func:`divisor_sum_capped` but with pair and triple
-    sums allowed up to m while each divisor stays <= n.  Needs n >= 3.
-    Evaluated in closed form; the test suite compares it against naive
-    triple loops.
-    """
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    if m < 1:
-        raise ValueError("m must be positive")
-    return Fraction(_RelaxedEvaluator(m).value(n))

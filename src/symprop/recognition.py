@@ -42,12 +42,12 @@ built once to the highest degree any of them reads, so families that share
 a modulus share its row: a modulus m is r = n - offset for every family at
 its own degree n = m + offset, families 2 and 3 share 2r, and families 6 to
 10 share 3r.
-:func:`cond_prob`, :func:`verify_theorem2` and the command line's table2 and
-csv/json verify-thm2 all go through it.  :func:`sweep_theorem2` passes a
-degree without them only when P(A) over the upper end of the float64
-enclosure of P(B) (see :mod:`symprop.proportions`), a rational lower bound
-for P(A | B), already clears both floors by the same exact predicate that
-judges the exact conditional; every other degree, and every failure it
+:func:`cond_prob` and the command line's table2 and csv/json verify-thm2 all
+go through it.  :func:`sweep_theorem2` passes a degree without it only when
+P(A) over the upper end of the float64 enclosure of P(B) (see
+:mod:`symprop.proportions`), a rational lower bound for P(A | B), already
+clears both floors by the same exact predicate that judges the exact
+conditional; every other degree, and every failure it
 reports, is computed exactly.  The absolute lower bounds on P(A | B) are
 1/2 for the single-cycle families (weakening to 2/7 for case 1 when n
 divides 24), and 1/3 for the rest, except a short list of small degrees
@@ -80,7 +80,6 @@ __all__ = [
     "cond_probs",
     "lower_bound_for",
     "check_n23_bound",
-    "verify_theorem2",
     "sweep_theorem2",
     "admissible_divisor_check",
     "TABLE2_EXCEPTIONS",
@@ -342,16 +341,6 @@ def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
     return value >= lower_bound_for(spec) and check_n23_bound(spec, value).passed
 
 
-def verify_theorem2(case_id: int, n_lo: int, n_hi: int) -> list[CondProbReport]:
-    """Exact conditionals for every admissible degree in [n_lo, n_hi].
-
-    Each report's pass flag requires both the absolute floor and the
-    n^(2/3)-shaped floor.  Reports come back sorted by degree, from one
-    :func:`cond_probs` batch.
-    """
-    return cond_probs([case_params(case_id, n) for n in admissible_degrees(case_id, n_lo, n_hi)])
-
-
 def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[tuple[int, int]]:
     """The degrees of one family the float filter cannot pass, as (index, n).
 
@@ -377,7 +366,7 @@ def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[tuple[int, int]]:
 
 
 def sweep_theorem2(case_id: int, n_lo: int, n_hi: int) -> tuple[int, list[CondProbReport]]:
-    """The verdicts of :func:`verify_theorem2`, filter first.
+    """The verdicts of :func:`cond_probs` over one family's window, filter first.
 
     Returns the number of admissible degrees in [n_lo, n_hi] and the exact
     reports of those that fail, sorted by degree.  It is one

@@ -39,6 +39,29 @@ def is_prime_by_trial(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+def peak_exponent(p: int) -> int:
+    """The exponent at which (alpha+1)/p**(alpha/3) peaks over alpha >= 0.
+
+    Equals floor(1/(p**(1/3)-1)) for prime p, computed without floats:
+    the largest k >= 1 with p*k**3 <= (k+1)**3, and 0 when there is none.
+    """
+    if not is_prime_by_trial(p):
+        raise ValueError("p must be prime")
+    best = 0
+    k = 1
+    while p * k**3 <= (k + 1) ** 3:
+        best = k
+        k += 1
+    return best
+
+
+def divisor_ratio_cube(p: int, alpha: int) -> Fraction:
+    """(alpha+1)**3/p**alpha, the cube of the per-prime factor of d(n)/n^(1/3)."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    return Fraction((alpha + 1) ** 3, p**alpha)
+
+
 def _centralizer_order(parts: tuple[int, ...]) -> int:
     z = 1
     for d, k in Counter(parts).items():

@@ -6,7 +6,10 @@ import pytest
 
 from symprop.bounds import (
     EXPECTED_MAJORANT_FAILURES,
+    _capped_sums,
+    _relaxed_sums,
     check_excess_monotone,
+    majorant_moduli,
     check_excess_threshold,
     check_prop_upper_bound,
     excess_ratio_bound,
@@ -17,6 +20,7 @@ from symprop.bounds import (
     verify_exceptional_m,
     verify_shat_condition,
 )
+from symprop.divisors import divisor_list, gamma_value
 
 
 def test_upper_bound_values():
@@ -91,6 +95,25 @@ def test_majorant_records_are_pinned():
     records += [verify_exceptional_m(72).record(), verify_exceptional_m(120).record()]
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == "d656f0fb3766ca14c5e5c490e2ec4427e1391ed553141cb5281825376fc8f99d"
+
+
+def test_majorant_sums_are_pinned():
+    # S-hat(d, m) at every divisor d > gamma(m)*sqrt(m) the full sweep
+    # visits, and S(n, m) over the whole range of the two direct checks;
+    # the digest was taken from the per-m evaluator and the one-point S
+    # that these two functions replaced
+    lines = []
+    for m in majorant_moduli(19020):
+        g = gamma_value(m)
+        p, q = g.numerator, g.denominator
+        ds = [d for d in divisor_list(m) if d * d * q * q > p * p * m]
+        lines += [f"S-hat {d} {m} {s}\n" for d, s in zip(ds, _relaxed_sums(m, ds))]
+    for m in (72, 120):
+        capped = _capped_sums(m, m + 1)
+        lines += [f"S {n} {m} {capped[n]}\n" for n in range(3, m + 2)]
+    assert len(lines) == 92281
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "2f125ca277131271bf450a8fb306910f22c8c046c6969d10743ae21df79d3380")
 
 
 def test_majorant_sweep_failure_set():

@@ -226,6 +226,10 @@ def test_sample_with_a_modulus_beyond_int64():
     ["sample", "--n", "5", "--m", "2", "--seed", "-1"],
     ["search-sim", "--case", "1", "--n", "6", "--episodes", "5", "--seed", "-3"],
     ["prop", "--n", "4", "--m", "x"],
+    ["prop", "--n", "-3", "--m", "3"],
+    ["verify-thm2", "--case", "10", "--n-lo", "86", "--n-hi", "86"],
+    ["verify-thm2", "--case", "2", "--n-hi", "7"],
+    ["verify-thm2", "--n-lo", "8", "--n-hi", "8"],
 ], ids=" ".join)
 def test_bad_arguments_are_usage_errors(argv):
     out = run(*argv)
@@ -245,6 +249,12 @@ def test_empty_thm2_window_names_the_case():
     assert problem("--n-lo", "500") == "need --n-lo <= --n-hi: case 2 ends at n = 300"
     assert problem("--case", "1", "--n-lo", "500") is None
     assert problem("--case", "5", "--n-lo", "1001").endswith("case 5 ends at n = 1000")
+    # a window that holds degrees but none of the family's would check nothing
+    assert problem("--case", "10", "--n-lo", "86", "--n-hi", "86") == (
+        "case 10 has no admissible degree in 86..86")
+    assert problem("--case", "2", "--n-hi", "7") == "case 2 has no admissible degree in 1..7"
+    assert problem("--n-lo", "8", "--n-hi", "8") == "case 2 has no admissible degree in 8..8"
+    assert problem("--case", "10", "--n-lo", "85", "--n-hi", "86") is None
 
 
 def test_internal_fault_is_not_a_usage_error():

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisor_count, divisors, isprime, nextprime, prevprime
 
-from oracles import divisors_by_trial, is_prime_by_trial, quad_divisor_excess
+from oracles import (
+    divisor_ratio_cube,
+    divisors_by_trial,
+    is_prime_by_trial,
+    peak_exponent,
+    quad_divisor_excess,
+)
 from symprop import divisors as divisors_module
 from symprop.divisors import (
     C0_CUBED,
@@ -19,12 +25,10 @@ from symprop.divisors import (
     check_quadratic_divisor_sum,
     divisor_count_sieve,
     divisor_list,
-    divisor_ratio_cube,
     divisor_rich_candidates,
     gamma_value,
     is_divisor_rich_candidate,
     is_prime,
-    peak_exponent,
     sweep_divisor_count_bounds,
     sweep_quadratic_divisor_sums,
 )

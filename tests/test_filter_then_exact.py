@@ -8,8 +8,9 @@ before their two filter-then-exact loops were merged into one, so a change
 to the filter or to the fallback that moves a single cell between the two
 shows here.
 
-The order: open cells reach the exact check one column at a time, in
-ascending degree, whatever order the filter names them in.
+The order: open cells reach the exact check block by block, in the order
+the filter names them within a block.  The theorem-1 filter names them row
+by row: ascending degree, and across the moduli of the block at each degree.
 """
 
 from __future__ import annotations

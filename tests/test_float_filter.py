@@ -23,7 +23,7 @@ from symprop.proportions import (
     prop_enclosure,
     prop_order_dividing,
 )
-from symprop.recognition import sweep_theorem2, verify_theorem2
+from symprop.recognition import admissible_degrees, case_params, cond_probs, sweep_theorem2
 
 PRIMES = [p for p in range(2, 1200) if all(p % q for q in range(2, int(p**0.5) + 1))]
 
@@ -126,7 +126,7 @@ def test_theorem2_filter_agrees_with_exact(case, strict, monkeypatch):
         # the n^(2/3) floor raised to 1 - 1/n^(2/3) fails at many degrees
         monkeypatch.setattr(recognition, "_n23_parameters",
                             lambda spec: (Fraction(1), 1, 0, spec.n))
-    every = verify_theorem2(case, 1, 100)
+    every = cond_probs([case_params(case, n) for n in admissible_degrees(case, 1, 100)])
     count, failures = sweep_theorem2(case, 1, 100)
     assert count == len(every)
     assert failures == [r for r in every if not r.passed]

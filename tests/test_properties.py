@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_prop, power_order
+from symprop.bounds import _capped_sums, _relaxed_sums
 from symprop.divisors import (
     check_quadratic_divisor_sum,
     divisor_list,
@@ -24,8 +25,6 @@ from symprop.enclosure import cbrt_enclosure, integer_nth_root, sqrt_enclosure
 from symprop.proportions import (
     CycleType,
     ProportionTable,
-    divisor_sum_capped,
-    divisor_sum_relaxed,
     prop_alternating,
     prop_order_dividing,
     prop_order_dividing_signed,
@@ -167,13 +166,13 @@ def test_signed_and_alternating_ranges(n, m):
 @settings(deadline=None, max_examples=80)
 def test_capped_below_relaxed_on_small_degrees(m, n):
     if n <= m:
-        assert divisor_sum_capped(n, m) <= divisor_sum_relaxed(n, m)
+        assert _capped_sums(m, n)[n] <= _relaxed_sums(m, [n])[0]
 
 
 @given(m=st.integers(3, 60))
 @settings(deadline=None)
 def test_caps_coincide_at_equal_arguments(m):
-    assert divisor_sum_capped(m, m) == divisor_sum_relaxed(m, m)
+    assert _capped_sums(m, m)[m] == _relaxed_sums(m, [m])[0]
 
 
 def _walk_cycles(perm: list[int]) -> list[list[int]]:

@@ -5,10 +5,9 @@ from math import factorial
 import pytest
 
 from oracles import brute_force_prop, divisor_sum_naive, iter_partitions
+from symprop.bounds import _capped_sums, _relaxed_sums
 from symprop.proportions import (
     CycleType,
-    divisor_sum_capped,
-    divisor_sum_relaxed,
     prop_alternating,
     prop_order_dividing,
     prop_order_dividing_signed,
@@ -57,9 +56,13 @@ def test_prop_anchors(table):
 
 
 def test_prop_nonpositive_degree_convention(table):
-    for n in (0, -1, -5):
-        assert table.prop(n, 4) == 1
-        assert table.prop(n, 4, signed=True) == 1
+    # S_0 holds only the identity; a negative degree is refused, as by count
+    assert table.prop(0, 4) == 1
+    assert table.prop(0, 4, signed=True) == 1
+    for n in (-1, -5):
+        for signed in (False, True):
+            with pytest.raises(ValueError):
+                table.prop(n, 4, signed=signed)
 
 
 def test_prop_range(table):
@@ -141,26 +144,28 @@ def test_recursion_vs_partition_oracle(table):
 
 def test_divisor_sum_relaxed_vs_naive():
     for n, m in ((10, 10), (12, 24), (25, 24), (17, 16), (30, 60)):
-        assert divisor_sum_relaxed(n, m) == divisor_sum_naive(n, m, m)
+        assert _relaxed_sums(m, [n]) == [divisor_sum_naive(n, m, m)]
 
 
 def test_divisor_sum_capped_below_relaxed():
     # the capped triple sum stays below the uncapped majorant while n <= m
     for m in (6, 10, 12, 24, 36):
-        for n in range(3, m + 1):
-            assert divisor_sum_capped(n, m) <= divisor_sum_relaxed(n, m)
+        ns = range(3, m + 1)
+        capped = _capped_sums(m, m)
+        for n, relaxed in zip(ns, _relaxed_sums(m, ns)):
+            assert capped[n] <= relaxed
 
 
 def test_divisor_sum_relaxed_m1():
-    for n in (3, 5, 10):
-        assert divisor_sum_relaxed(n, 1) == 0
+    assert _relaxed_sums(1, [3, 5, 10]) == [0, 0, 0]
 
 
 def test_capped_sum_brute():
     # S(n,m) against a direct triple loop over ordered divisor triples
     for m in range(1, 61):
+        capped = _capped_sums(m, 40)
         for n in range(3, 41):
-            assert divisor_sum_capped(n, m) == divisor_sum_naive(n, m, n), (n, m)
+            assert capped[n] == divisor_sum_naive(n, m, n), (n, m)
 
 
 def test_table_rows_are_immutable_views(table):

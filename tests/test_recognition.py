@@ -25,7 +25,6 @@ from symprop.recognition import (
     prob_A,
     prob_B,
     prob_B_upper_bound,
-    verify_theorem2,
 )
 
 ALL_CASES = range(1, 11)
@@ -199,15 +198,15 @@ def test_cond_prob_known_shortfalls():
 
 def test_verify_theorem2_families_clean():
     for cid in (1, 4, 5):
-        reports = verify_theorem2(cid, 5, 120)
+        reports = cond_probs([case_params(cid, n) for n in admissible_degrees(cid, 5, 120)])
         assert all(r.passed for r in reports), cid
     for cid in (2, 3, 6, 7, 8, 9):
-        reports = verify_theorem2(cid, 8, 120)
+        reports = cond_probs([case_params(cid, n) for n in admissible_degrees(cid, 8, 120)])
         assert reports and all(r.passed for r in reports), cid
 
 
 def test_verify_theorem2_case10_failures():
-    reports = verify_theorem2(10, 8, 300)
+    reports = cond_probs([case_params(10, n) for n in admissible_degrees(10, 8, 300)])
     failing = sorted(r.n for r in reports if not r.passed)
     assert failing == [37, 85]
 
