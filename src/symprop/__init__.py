@@ -15,7 +15,6 @@ from .divisors import (
     gamma_value,
 )
 from .proportions import (
-    CycleType,
     ProportionTable,
     SplitProportions,
     prop_alternating,
@@ -57,7 +56,6 @@ __all__ = [
     "BoundReport",
     "CaseSpec",
     "CondProbReport",
-    "CycleType",
     "EXPECTED_MAJORANT_FAILURES",
     "ProportionTable",
     "SampleStats",

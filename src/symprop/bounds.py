@@ -8,7 +8,8 @@ with gamma the three-step constant from :mod:`symprop.divisors`.  The
 sweep first encloses every P(n, m) in float64 with the error bound written
 in :mod:`symprop.proportions`, and a cell passes there only when the upper
 end of its enclosure lies below the bound, itself rounded down.  Every other
-cell goes to the exact check, :func:`check_prop_upper_bound`, which also
+cell goes to the exact check, :func:`check_prop_upper_bound`, through the
+one exact call of :func:`~symprop.proportions.filter_then_exact`, and it
 reports every failure with exact sides.  So a pass is certified either by
 the written float bound or by exact arithmetic, and every FAIL is exact.
 
@@ -25,9 +26,9 @@ For the tail in m there is a closed expression
               + c^3 sqrt(gm) / ((sqrt(gm) - 1)(sqrt(gm) - 2)),
 
 g = gamma(m).  Its bounds here are exact rationals, built from directed
-rational bounds on its three roots sqrt(gm), c^(2/3) and m^(1/3) (see
-:mod:`symprop.enclosure`); the fact that f(19020, c0) <= 1 anchors the
-large-m branch.
+rational bounds on its three roots sqrt(gm), c^(2/3) and m^(1/3), one
+:func:`~symprop.enclosure.root_enclosure` call each; the fact that
+f(19020, c0) <= 1 anchors the large-m branch.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .divisors import C0_CUBED, divisor_list, divisor_rich_candidates, gamma_value
-from .enclosure import cbrt_enclosure, sqrt_enclosure
+from .enclosure import root_enclosure
 from .proportions import (
     _arrangement_weights,
     filter_then_exact,
@@ -84,7 +85,8 @@ def check_prop_upper_bound(n: int, m: int) -> BoundReport:
 
 
 def _open_cells(tasks: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, int]]:
-    """The cells of ``tasks`` the float filter cannot pass, as (task index, n).
+    """The cells (n, m) of ``tasks`` the float filter cannot pass, ascending
+    in n and, at each n, in task order.
 
     A task (m, n_first, n_last) asks for n_first <= n <= n_last.  A cell
     passes when the upper end of the enclosure of P(n, m) is at most the
@@ -102,7 +104,7 @@ def _open_cells(tasks: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, in
     num, den = n * q + p * ms, n * n * q
     passed = (hi[1:] <= np.nextafter(num / den, -np.inf)) & (den < 2**53)
     rows, cols = np.nonzero((n >= first) & (n <= last) & ~passed)
-    return zip(cols.tolist(), (rows + 1).tolist())
+    return zip((rows + 1).tolist(), ms[cols].tolist())
 
 
 def sweep_prop_bound(n_lo: int = 5, n_hi: int = 300, m_multiplier: int = 3) -> list[BoundReport]:
@@ -111,7 +113,8 @@ def sweep_prop_bound(n_lo: int = 5, n_hi: int = 300, m_multiplier: int = 3) -> l
 
     One :func:`~symprop.proportions.filter_then_exact` pass, a column per
     modulus: :func:`_open_cells` passes what the float enclosures certify,
-    and the rest get :func:`check_prop_upper_bound`.
+    and the rest get :func:`check_prop_upper_bound`, one at a time, so only
+    the failures are held.
     """
     if not 5 <= n_lo <= n_hi:
         raise ValueError("need 5 <= n_lo <= n_hi")
@@ -127,7 +130,7 @@ def sweep_prop_bound(n_lo: int = 5, n_hi: int = 300, m_multiplier: int = 3) -> l
 
     failures = filter_then_exact(
         "bound sweep", tasks, sum(last - first + 1 for _, first, last in tasks), _open_cells,
-        lambda task, n: check_prop_upper_bound(n, task[0]))
+        lambda cells: (check_prop_upper_bound(n, m) for n, m in cells))
     failures.sort(key=lambda r: (r.n, r.m))
     return failures
 
@@ -314,11 +317,11 @@ def excess_ratio_bound(m: int) -> tuple[Fraction, Fraction]:
     """
     if m < 2:
         raise ValueError("needs m >= 2 so that sqrt(gamma*m) > 2")
-    g_lo, g_hi = sqrt_enclosure(gamma_value(m) * m)
+    g_lo, g_hi = root_enclosure(gamma_value(m) * m, 2)
     if not g_lo > 2:
         raise ValueError("sqrt(gamma*m) must exceed 2")
-    c_sq_lo, c_sq_hi = cbrt_enclosure(C0_CUBED * C0_CUBED)
-    m_cbrt_lo, m_cbrt_hi = cbrt_enclosure(m)
+    c_sq_lo, c_sq_hi = root_enclosure(C0_CUBED * C0_CUBED, 3)
+    m_cbrt_lo, m_cbrt_hi = root_enclosure(m, 3)
 
     def f(g_up: Fraction, c_sq: Fraction, m_cbrt: Fraction, g_down: Fraction) -> Fraction:
         return (3 * c_sq * g_up / (m_cbrt * (g_down - 1))

@@ -155,7 +155,7 @@ def cmd_verify_thm1(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_shat(args: argparse.Namespace) -> int:
-    m_max = 19020 if args.full else args.m_max
+    m_max = 19020 if args.full else args.m_max or 2000
     with_candidates = not args.no_candidates
     failures = sweep_divisor_majorant(m_max, include_candidates=with_candidates)
     got = sorted(r.m for r in failures)
@@ -224,11 +224,13 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.m is not None:
-        st = estimate_order_divides(args.n, args.m, args.trials, seed=args.seed, group=args.group)
-        fields = {"kind": "order-divides", "n": args.n, "m": args.m, "group": args.group}
+        group = args.group or "S"
+        st = estimate_order_divides(args.n, args.m, args.trials, seed=args.seed, group=group)
+        fields = {"kind": "order-divides", "n": args.n, "m": args.m, "group": group}
     else:
-        st = estimate_case_event(args.case, args.n, args.event, args.trials, seed=args.seed)
-        fields = {"kind": f"case-event-{args.event}", "n": args.n, "case": args.case}
+        event = args.event or "B"
+        st = estimate_case_event(args.case, args.n, event, args.trials, seed=args.seed)
+        fields = {"kind": f"case-event-{event}", "n": args.n, "case": args.case}
     verdict = st.within_sigma()
     label = " ".join(f"{k}={v}" for k, v in fields.items())
     _emit_flat(args, {
@@ -287,6 +289,12 @@ def _check_verify_thm1(args: argparse.Namespace) -> str | None:
     return "need --n-lo <= --n-hi" if args.n_lo > args.n_hi else None
 
 
+def _check_verify_shat(args: argparse.Namespace) -> str | None:
+    if args.full and args.m_max is not None:
+        return "--full sweeps to m = 19020, so --m-max does not apply"
+    return None
+
+
 def _check_verify_thm2(args: argparse.Namespace) -> str | None:
     windows = _thm2_windows(args)
     empty = [f"case {cid} ends at n = {hi}" for cid, lo, hi in windows if lo > hi]
@@ -301,7 +309,11 @@ def _check_sample(args: argparse.Namespace) -> str | None:
     if (args.m is None) == (args.case is None):
         return "give exactly one of --m or --case"
     if args.case is not None:
+        if args.group is not None:
+            return "--group applies to --m; a --case event has its family's group"
         return _inadmissible(args.case, args.n)
+    if args.event is not None:
+        return "--event applies to --case only"
     return "the alternating group needs n >= 2" if args.group == "A" and args.n < 2 else None
 
 
@@ -354,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-shat", parents=[common],
         help="divisor majorant sweep; failing exactly {72,120} is the expected outcome",
     )
-    p.add_argument("--m-max", type=_int_at_least(2), default=2000)
+    p.add_argument("--m-max", type=_int_at_least(2), help="sweep to m-max (default 2000)")
     p.add_argument("--full", action="store_true", help="sweep to m = 19020")
     p.add_argument("--no-candidates", action="store_true",
                    help="skip the divisor-rich candidates above m-max")
-    p.set_defaults(func=cmd_verify_shat)
+    p.set_defaults(func=cmd_verify_shat, check=_check_verify_shat)
 
     p = sub.add_parser("verify-thm2", parents=[common], help="conditional floors per case")
     p.add_argument("--case", type=int, choices=range(1, 11))
@@ -384,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=positive, required=True)
     p.add_argument("--m", type=positive, help="order-divides event")
     p.add_argument("--case", type=int, choices=range(1, 11), help="family event")
-    p.add_argument("--event", choices=("A", "B"), default="B")
-    p.add_argument("--group", choices=("S", "A"), default="S")
+    p.add_argument("--event", choices=("A", "B"), help="family event (default B)")
+    p.add_argument("--group", choices=("S", "A"), help="group of --m (default S)")
     p.add_argument("--trials", type=positive, default=100_000)
     p.add_argument("--seed", type=_int_at_least(0))
     p.set_defaults(func=cmd_sample, check=_check_sample)

@@ -1,8 +1,8 @@
-"""Directed rational bounds on square and cube roots.
+"""Directed rational bounds on k-th roots.
 
-Each function returns exact Fractions (lo, hi) around the root of a
-nonnegative rational x = p/q, both multiples of 1/(q * 10**40), so
-hi - lo <= 1/(q * 10**40), and lo == hi exactly when the root is
+:func:`root_enclosure` returns exact Fractions (lo, hi) around the k-th
+root of a nonnegative rational x = p/q, both multiples of 1/(q * 10**40),
+so hi - lo <= 1/(q * 10**40), and lo == hi exactly when the root is
 rational.  A comparison that succeeds on the outer bounds is a proof.
 """
 
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+
+__all__ = ["integer_nth_root", "root_enclosure"]
 
 _SCALE = 10**40
 
@@ -37,27 +39,15 @@ def integer_nth_root(x: int, k: int) -> int:
     return r
 
 
-def sqrt_enclosure(x: Fraction | int) -> tuple[Fraction, Fraction]:
-    """(lo, hi) with lo <= sqrt(x) <= hi, x >= 0."""
-    f = Fraction(x)
-    if f < 0:
-        raise ValueError("sqrt of negative value")
-    p, q = f.numerator, f.denominator
-    # sqrt(p/q) = sqrt(p*q)/q; floor and ceiling of the scaled integer root.
-    root = isqrt(p * q * _SCALE * _SCALE)
-    lo = Fraction(root, q * _SCALE)
-    if root * root == p * q * _SCALE * _SCALE:
-        return lo, lo
-    return lo, Fraction(root + 1, q * _SCALE)
-
-
-def cbrt_enclosure(x: Fraction | int) -> tuple[Fraction, Fraction]:
-    """(lo, hi) with lo <= x**(1/3) <= hi, x >= 0."""
+def root_enclosure(x: Fraction | int, k: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= x**(1/k) <= hi, x >= 0, k >= 1."""
     f = Fraction(x)
     p, q = f.numerator, f.denominator
-    # cbrt(p/q) = cbrt(p*q**2)/q; a negative x fails in integer_nth_root
-    root = integer_nth_root(p * q * q * _SCALE**3, 3)
+    # (p/q)**(1/k) = (p * q**(k-1))**(1/k) / q: floor and ceiling of the
+    # scaled integer root; a negative x fails in integer_nth_root
+    scaled = p * q ** (k - 1) * _SCALE**k
+    root = integer_nth_root(scaled, k)
     lo = Fraction(root, q * _SCALE)
-    if root**3 == p * q * q * _SCALE**3:
+    if root**k == scaled:
         return lo, lo
     return lo, Fraction(root + 1, q * _SCALE)

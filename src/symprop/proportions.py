@@ -68,11 +68,9 @@ live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -82,7 +80,6 @@ from .divisors import divisor_list
 from .reports import note
 
 __all__ = [
-    "CycleType",
     "ProportionTable",
     "prop_order_dividing",
     "prop_order_dividing_signed",
@@ -93,51 +90,6 @@ __all__ = [
     "SplitProportions",
     "prop_split",
 ]
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """Multiset of cycle lengths of a permutation, stored ascending.
-
-    Fixed points are included, so the parts sum to the degree n.
-    """
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError("parts must be positive integers")
-        ordered = tuple(sorted(self.parts))
-        if ordered != self.parts:
-            object.__setattr__(self, "parts", ordered)
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def order(self) -> int:
-        return lcm(*self.parts)
-
-    @property
-    def is_even(self) -> bool:
-        """Parity of the permutation: even iff n minus the cycle count is even."""
-        return (self.n - len(self.parts)) % 2 == 0
-
-    def counts(self) -> dict[int, int]:
-        return dict(Counter(self.parts))
-
-    def centralizer_order(self) -> int:
-        out = 1
-        for d, k in self.counts().items():
-            out *= d**k
-            for j in range(2, k + 1):
-                out *= j
-        return out
-
-    def proportion_of_sym(self) -> Fraction:
-        """Proportion of S_n with this cycle type (1 over the centralizer order)."""
-        return Fraction(1, self.centralizer_order())
 
 
 def _divisors_upto(m: int, n: int) -> tuple[int, ...]:
@@ -367,6 +319,7 @@ def prop_enclosure(
 
 
 Column = TypeVar("Column")
+Cell = TypeVar("Cell")
 Report = TypeVar("Report")
 
 
@@ -374,28 +327,25 @@ def filter_then_exact(
     label: str,
     columns: Sequence[Column],
     cells: int,
-    open_cells: Callable[[Sequence[Column]], Iterable[tuple[int, int]]],
-    exact: Callable[[Column, int], Report],
+    open_cells: Callable[[Sequence[Column]], Iterable[Cell]],
+    exact: Callable[[list[Cell]], Iterable[Report]],
 ) -> list[Report]:
     """The failing reports of a sweep over ``cells`` cells, float filter first.
 
+    This is the one place where open cells meet their exact reports.
     ``open_cells`` encloses a block of at most ENCLOSURE_COLUMNS columns with
-    :func:`prop_enclosure` and names the cells it cannot pass, as (index in
-    the block, degree).  Only those get ``exact(column, degree)``, in the
-    order ``open_cells`` names them.  One :func:`note` gives the count of
-    each.
+    :func:`prop_enclosure` and yields the cells it cannot pass.  The open
+    cells of every block, in the order named, go to one ``exact`` call,
+    which returns one report per cell in the same order.  One :func:`note`
+    gives the count of each.
     """
-    failures: list[Report] = []
-    sent = 0
-    for start in range(0, len(columns), ENCLOSURE_COLUMNS):
-        block = columns[start : start + ENCLOSURE_COLUMNS]
-        for i, n in open_cells(block):
-            sent += 1
-            report = exact(block[i], n)
-            if not report.passed:
-                failures.append(report)
-    note(f"{label}: {cells - sent} of {cells} cells decided by the float filter, "
-         f"{sent} by exact arithmetic")
+    sent = [cell for start in range(0, len(columns), ENCLOSURE_COLUMNS)
+            for cell in open_cells(columns[start : start + ENCLOSURE_COLUMNS])]
+    # strict: a batch that drops or adds a report is a fault, not a pass
+    failures = [report for _, report in zip(sent, exact(sent), strict=True)
+                if not report.passed]
+    note(f"{label}: {cells - len(sent)} of {cells} cells decided by the float filter, "
+         f"{len(sent)} by exact arithmetic")
     return failures
 
 

@@ -42,12 +42,13 @@ built once to the highest degree any of them reads, so families that share
 a modulus share its row: a modulus m is r = n - offset for every family at
 its own degree n = m + offset, families 2 and 3 share 2r, and families 6 to
 10 share 3r.
-:func:`cond_prob` and the command line's table2 and csv/json verify-thm2 all
-go through it.  :func:`sweep_theorem2` passes a degree without it only when
-P(A) over the upper end of the float64 enclosure of P(B) (see
-:mod:`symprop.proportions`), a rational lower bound for P(A | B), already
-clears both floors by the same exact predicate that judges the exact
-conditional; every other degree, and every failure it
+:func:`cond_prob`, the command line's table2 and csv/json verify-thm2, and
+the exact fallback of :func:`sweep_theorem2` all go through it; the sweep
+sends every degree its filter leaves open to one batch.  It passes a degree
+without the exact value only when P(A) over the upper end of the float64
+enclosure of P(B) (see :mod:`symprop.proportions`), a rational lower bound
+for P(A | B), already clears both floors by the same exact predicate that
+judges the exact conditional; every other degree, and every failure it
 reports, is computed exactly.  The absolute lower bounds on P(A | B) are
 1/2 for the single-cycle families (weakening to 2/7 for case 1 when n
 divides 24), and 1/3 for the rest, except a short list of small degrees
@@ -56,16 +57,16 @@ where 1/4, 3/10 or 3/20 is the true floor.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import factorial, inf, prod
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .divisors import divisor_list, gamma_value
-from .proportions import CycleType, ProportionTable, filter_then_exact, prop_enclosure
+from .proportions import ProportionTable, filter_then_exact, prop_enclosure
 from .reports import BoundReport, CondProbReport
 
 __all__ = [
@@ -94,7 +95,7 @@ class CaseSpec:
     case_id: int
     n: int
     r: int
-    cycle_type: CycleType  # full type, fixed points included
+    parts: tuple[int, ...]  # the target type, ascending, fixed points included
     power_order: int  # required order s of g**r
 
     @property
@@ -213,7 +214,13 @@ def case_params(case_id: int, n: int) -> CaseSpec:
     fam = _FAMILIES[case_id]
     r = n - fam.offset
     parts = fam.extra + (r,) + (1,) * (fam.offset - sum(fam.extra))
-    return CaseSpec(case_id, n, r, CycleType(parts), fam.s)
+    return CaseSpec(case_id, n, r, tuple(sorted(parts)), fam.s)
+
+
+def _centralizer_order(parts: tuple[int, ...]) -> int:
+    """The order of the centralizer in S_n of a permutation of cycle type
+    ``parts``: the product of d**k * k! over the lengths d that occur k times."""
+    return prod(d**k * factorial(k) for d, k in Counter(parts).items())
 
 
 def prob_A(spec: CaseSpec) -> Fraction:
@@ -222,7 +229,7 @@ def prob_A(spec: CaseSpec) -> Fraction:
     One over the centralizer order in S_n, doubled in A_n, which holds
     the whole (even) class at half the group size.
     """
-    return Fraction(2 if spec.calc_group == "A" else 1, spec.cycle_type.centralizer_order())
+    return Fraction(2 if spec.calc_group == "A" else 1, _centralizer_order(spec.parts))
 
 
 def _b_moduli(spec: CaseSpec) -> tuple[int, ...]:
@@ -341,8 +348,8 @@ def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
     return value >= lower_bound_for(spec) and check_n23_bound(spec, value).passed
 
 
-def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[tuple[int, int]]:
-    """The degrees of one family the float filter cannot pass, as (index, n).
+def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[CaseSpec]:
+    """The specs of one family whose degrees the float filter cannot pass.
 
     P(B) is enclosed from its terms (see :func:`_b_moduli`) in the family's
     computation group.  Its upper end hi_B is that of the first term, less
@@ -359,10 +366,10 @@ def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[tuple[int, int]]:
     hi_b = hi[ns, cols]
     if len(terms) > 1:
         hi_b = np.nextafter(hi_b - lo[ns, cols + len(specs)], np.inf)
-    for i, (spec, ceiling) in enumerate(zip(specs, hi_b.tolist())):
+    for spec, ceiling in zip(specs, hi_b.tolist()):
         # an infinite or NaN end decides nothing; Fraction(ceiling) is exact
         if not (ceiling < inf and _floors_hold(spec, prob_A(spec) / Fraction(ceiling))):
-            yield i, spec.n
+            yield spec
 
 
 def sweep_theorem2(case_id: int, n_lo: int, n_hi: int) -> tuple[int, list[CondProbReport]]:
@@ -372,11 +379,12 @@ def sweep_theorem2(case_id: int, n_lo: int, n_hi: int) -> tuple[int, list[CondPr
     reports of those that fail, sorted by degree.  It is one
     :func:`~symprop.proportions.filter_then_exact` pass, a column per degree:
     :func:`_open_degrees` passes what the float enclosure of P(B) certifies,
-    and the rest get the exact check; both judge by :func:`_floors_hold`.
+    and the rest go to one :func:`cond_probs` batch, so they share rows; both
+    judge by :func:`_floors_hold`.
     """
     specs = [case_params(case_id, n) for n in admissible_degrees(case_id, n_lo, n_hi)]
     failures = filter_then_exact(f"case {case_id}", specs, len(specs), _open_degrees,
-                                 lambda spec, n: cond_prob(spec))
+                                 cond_probs)
     return len(specs), failures
 
 

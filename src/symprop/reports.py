@@ -22,6 +22,19 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, ClassVar, Iterable, Mapping
 
+__all__ = [
+    "note",
+    "digits",
+    "dec6",
+    "frac",
+    "exact",
+    "value",
+    "cell",
+    "emit",
+    "BoundReport",
+    "CondProbReport",
+]
+
 
 def note(msg: str) -> None:
     """Write one progress or count line to stderr, never stdout.

@@ -172,7 +172,7 @@ def _event_mask(spec: CaseSpec, event: str) -> Callable[[np.ndarray], np.ndarray
     Both B tests are lookups in tables over the cycle lengths d <= n.
     """
     if event == "A":
-        parts = np.array(spec.cycle_type.parts)
+        parts = np.array(spec.parts)
         want = np.repeat(parts, parts)
         return lambda lengths: (np.sort(lengths, axis=1) == want).all(axis=1)
     s = spec.power_order

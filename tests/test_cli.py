@@ -230,6 +230,9 @@ def test_sample_with_a_modulus_beyond_int64():
     ["verify-thm2", "--case", "10", "--n-lo", "86", "--n-hi", "86"],
     ["verify-thm2", "--case", "2", "--n-hi", "7"],
     ["verify-thm2", "--n-lo", "8", "--n-hi", "8"],
+    ["sample", "--case", "1", "--n", "9", "--group", "A"],
+    ["sample", "--n", "9", "--m", "9", "--event", "A"],
+    ["verify-shat", "--m-max", "50", "--full"],
 ], ids=" ".join)
 def test_bad_arguments_are_usage_errors(argv):
     out = run(*argv)

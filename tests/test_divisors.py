@@ -92,6 +92,16 @@ def test_divisor_list_splits_a_product_of_two_primes(p, q):
     assert divisor_list(p * q) == tuple(divisors(p * q))
 
 
+def test_rho_recovers_when_a_batch_overshoots():
+    # for these m the first batch of 128 differences multiplies to 0 mod m,
+    # so its gcd is m itself and rho steps again one at a time from the
+    # batch start; a trace of _rho_factor shows that branch run for each
+    assert divisors_module._RHO_BATCH == 128
+    for m in (25, 35, 49, 55, 65, 77, 91):
+        f = divisors_module._rho_factor(m)
+        assert 1 < f < m and m % f == 0, m
+
+
 _BOUND = 3_317_044_064_679_887_385_961_981  # Miller-Rabin on 13 prime bases is exact below
 
 

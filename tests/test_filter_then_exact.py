@@ -8,9 +8,10 @@ before their two filter-then-exact loops were merged into one, so a change
 to the filter or to the fallback that moves a single cell between the two
 shows here.
 
-The order: open cells reach the exact check block by block, in the order
-the filter names them within a block.  The theorem-1 filter names them row
-by row: ascending degree, and across the moduli of the block at each degree.
+The order: the open cells of a sweep reach one exact call, block by block,
+in the order the filter names them within a block.  The theorem-1 filter
+names them row by row: ascending degree, and across the moduli of the block
+at each degree.
 """
 
 from __future__ import annotations
@@ -94,24 +95,31 @@ def test_count_lines_and_stdout_are_pinned(argv):
 
 def test_open_cells_go_to_exact_once_each(monkeypatch, capsys):
     monkeypatch.setattr(proportions, "ENCLOSURE_COLUMNS", 2)
-    blocks, calls = [], []
+    blocks, batches = [], []
 
     def open_cells(block):
         blocks.append(list(block))
-        return [(i, n) for n in (9, 2) for i in reversed(range(len(block)))]
+        return [(c, n) for n in (9, 2) for c in reversed(block)]
 
-    def exact(column, n):
-        calls.append((column, n))
-        return SimpleNamespace(passed=n == 2, at=(column, n))
+    def exact(cells):
+        batches.append(list(cells))
+        return [SimpleNamespace(passed=n == 2, at=(c, n)) for c, n in cells]
 
     failures = filter_then_exact("demo", "abcde", 50, open_cells, exact)
     msgs = capsys.readouterr().err.splitlines()
     assert blocks == [["a", "b"], ["c", "d"], ["e"]]
+    assert len(batches) == 1  # one exact call for the whole sweep
+    (calls,) = batches
     assert len(calls) == len(set(calls)) == 10
     assert set(calls) == {(c, n) for c in "abcde" for n in (2, 9)}
+    # block by block, in the order each block names its cells
+    assert calls[:4] == [("b", 9), ("a", 9), ("b", 2), ("a", 2)]
     assert len(failures) == 5
     assert {f.at for f in failures} == {(c, 9) for c in "abcde"}
     assert msgs == ["demo: 40 of 50 cells decided by the float filter, 10 by exact arithmetic"]
+    # a batch that loses a report must not read as a pass
+    with pytest.raises(ValueError):
+        filter_then_exact("demo", "ab", 4, open_cells, lambda cells: exact(cells)[1:])
 
 
 def test_theorem1_fallback_order_and_failures(monkeypatch):

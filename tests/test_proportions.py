@@ -1,13 +1,12 @@
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
-from oracles import brute_force_prop, divisor_sum_naive, iter_partitions
+from oracles import brute_force_prop, divisor_sum_naive, iter_partitions, prob_A_centralizer
 from symprop.bounds import _capped_sums, _relaxed_sums
 from symprop.proportions import (
-    CycleType,
     prop_alternating,
     prop_order_dividing,
     prop_order_dividing_signed,
@@ -16,26 +15,9 @@ from symprop.proportions import (
 from symprop.recognition import _b_moduli, admissible_degrees, case_params
 
 
-def test_cycle_type_basics():
-    t = CycleType((3, 1, 2))
-    assert t.parts == (1, 2, 3)
-    assert t.n == 6
-    assert t.order == 6
-    assert not t.is_even
-    assert CycleType((5,)).is_even
-    assert CycleType((2, 2)).is_even
-
-
-def test_cycle_type_centralizer():
-    # 2^2 * 2! * 3 = 24 permutations commute with (..)(..)(...)  in S_7
-    t = CycleType((2, 2, 3))
-    assert t.centralizer_order() == 24
-    assert t.proportion_of_sym() == Fraction(1, 24)
-
-
 def test_class_sizes_sum_to_one():
     for n in range(1, 9):
-        total = sum(CycleType(p).proportion_of_sym() for p in iter_partitions(n))
+        total = sum(prob_A_centralizer(p, "S") for p in iter_partitions(n))
         assert total == 1
 
 
@@ -95,10 +77,11 @@ def test_alternating_anchors():
 def test_alternating_vs_enumeration():
     for n in range(2, 8):
         for m in range(1, 10):
+            # a type is even iff n minus its number of cycles is even
             share = sum(
-                CycleType(p).proportion_of_sym()
+                prob_A_centralizer(p, "S")
                 for p in iter_partitions(n)
-                if CycleType(p).is_even and m % CycleType(p).order == 0
+                if (n - len(p)) % 2 == 0 and m % lcm(*p) == 0
             )
             assert prop_alternating(n, m) == 2 * share
 

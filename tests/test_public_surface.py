@@ -1,5 +1,7 @@
 """Every public name of the package is reached by the package or the benchmark.
 
+Every module but the entry points (``__init__``, ``__main__``, ``cli``)
+declares its public names in ``__all__``, so none escapes the check below.
 A name listed in a module's ``__all__`` must be referenced by code in
 ``src/symprop`` (a load of the name or of an attribute of that name, in any
 module but ``__init__.py``, whose imports only re-export) or be called by a
@@ -24,12 +26,13 @@ WORKLOADS = ROOT / "perfbench" / "workloads.py"
 UNREACHED_ALLOWED = frozenset({"__version__", "prob_B_upper_bound", "admissible_divisor_check"})
 
 
-def _exported(tree: ast.Module) -> list[str]:
+def _exported(tree: ast.Module) -> list[str] | None:
+    """The names in the module's ``__all__``, or None when it has none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return [elt.value for elt in node.value.elts]
-    return []
+    return None
 
 
 def _referenced(tree: ast.AST) -> set[str]:
@@ -53,9 +56,17 @@ def _library_ops() -> set[str]:
     return names
 
 
+def test_every_module_declares_its_public_names():
+    # the entry points are not libraries, and __init__ re-exports the rest
+    entry = {"__init__.py", "__main__.py", "cli.py"}
+    missing = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if path.name not in entry and _exported(ast.parse(path.read_text())) is None]
+    assert missing == []
+
+
 def test_every_public_name_is_reached_outside_the_tests():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    public = {name for tree in trees.values() for name in _exported(tree)}
+    public = {name for tree in trees.values() for name in _exported(tree) or ()}
     reached = _library_ops().union(*(_referenced(tree) for file, tree in trees.items()
                                      if file != "__init__.py"))
     assert sorted(public - reached) == sorted(UNREACHED_ALLOWED)

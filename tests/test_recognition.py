@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import prob_A_centralizer, prob_A_rcycle
+import oracles
+from oracles import iter_partitions, prob_A_centralizer, prob_A_rcycle
 from symprop import cli
 from symprop.proportions import ProportionTable, prop_alternating, prop_order_dividing
 from symprop.recognition import (
     CASE1_WEAK_NS,
     TABLE2_EXCEPTIONS,
+    _centralizer_order,
     admissible_degrees,
     admissible_divisor_check,
     admissible_n,
@@ -32,12 +34,12 @@ ALL_CASES = range(1, 11)
 
 def test_case_params_examples():
     spec = case_params(6, 14)
-    assert spec.r == 11 and spec.cycle_type.parts == (3, 11)
+    assert spec.r == 11 and spec.parts == (3, 11)
     spec = case_params(1, 9)
-    assert spec.r == 9 and spec.cycle_type.parts == (9,)
+    assert spec.r == 9 and spec.parts == (9,)
     spec = case_params(10, 13)
-    assert spec.r == 8 and spec.cycle_type.parts == (2, 3, 8)
-    assert spec.cycle_type.n == 13  # no fixed points
+    assert spec.r == 8 and spec.parts == (2, 3, 8)
+    assert sum(spec.parts) == 13  # no fixed points
 
 
 def test_case_params_rejections():
@@ -83,8 +85,18 @@ def test_prob_a_centralizer_route():
     for cid in ALL_CASES:
         for n in admissible_degrees(cid, 8, 40):
             spec = case_params(cid, n)
-            by_type = prob_A_centralizer(spec.cycle_type.parts, spec.calc_group)
+            by_type = prob_A_centralizer(spec.parts, spec.calc_group)
             assert prob_A(spec) == by_type, (cid, n)
+
+
+def test_centralizer_order():
+    # 2^2 * 2! * 3 = 24 permutations commute with (..)(..)(...) in S_7; no
+    # family's target type repeats a part above 1, so d**k * k! with d > 1
+    # and k > 1 is checked here and nowhere else
+    assert _centralizer_order((2, 2, 3)) == 24
+    for n in range(1, 11):
+        for parts in iter_partitions(n):
+            assert _centralizer_order(parts) == oracles._centralizer_order(parts), parts
 
 
 def test_prob_a_rcycle_route():
@@ -256,7 +268,7 @@ def test_family_records_are_pinned():
         for n in admissible_degrees(cid, 1, 300):
             spec = case_params(cid, n)
             rep = cond_prob(spec)
-            rec = [cid, n, spec.r, spec.cycle_type.parts, spec.power_order, spec.calc_group,
+            rec = [cid, n, spec.r, spec.parts, spec.power_order, spec.calc_group,
                    spec.order_bound, prob_A(spec), lower_bound_for(spec), rep.record(),
                    astuple(check_n23_bound(spec, rep.p_A_given_B))]
             if cid not in (1, 4, 5):

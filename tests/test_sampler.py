@@ -5,8 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import iter_partitions
-from symprop.proportions import CycleType
+from oracles import iter_partitions, prob_A_centralizer
 from symprop.recognition import admissible_degrees, case_params, cond_prob, prob_A, prob_B
 from symprop import sampler
 from symprop.sampler import (
@@ -53,7 +52,7 @@ def test_type_census_matches_class_sizes():
     lengths = np.sort(np.concatenate(list(_sample_batches(99, 4, trials, "S"))), axis=1)
     for parts in iter_partitions(4):
         hits = int((lengths == np.sort(np.repeat(parts, parts))).all(axis=1).sum())
-        stats = SampleStats(trials, hits, CycleType(parts).proportion_of_sym())
+        stats = SampleStats(trials, hits, prob_A_centralizer(parts, "S"))
         assert stats.within_sigma(), parts
 
 
