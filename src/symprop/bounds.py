@@ -15,7 +15,11 @@ the written float bound or by exact arithmetic, and every FAIL is exact.
 
 The supporting computational step works divisor by divisor: for every
 divisor d of m lying above gamma(m)*sqrt(m), the relaxed summation S-hat must
-stay below (d-1)(d-2)(1 + gamma*m/d).  That check fails precisely for
+stay below (d-1)(d-2)(1 + gamma*m/d).  S-hat is written once, as one
+exact evaluator batched over (m, a) queries and vectorised in numpy over
+every divisor pair (m, d) of a batch of moduli; the sweep feeds it blocks
+of consecutive m, each sieved over its own range, and the one-m report
+reads it as a batch of one.  That check fails precisely for
 m = 72 and m = 120, and for those two values the capped summation S is
 instead compared directly against (n-1)(n-2)(1 + gamma*m/n) over the
 whole range sqrt(gamma*m) <= n <= m + 1.
@@ -33,9 +37,8 @@ f(19020, c0) <= 1 anchors the large-m branch.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -49,7 +52,7 @@ from .proportions import (
     prop_enclosure,
     prop_order_dividing,
 )
-from .reports import BoundReport, note
+from .reports import BoundReport
 
 __all__ = [
     "prop_upper_bound",
@@ -162,35 +165,128 @@ def _capped_sums(m: int, top: int) -> list[int]:
     return list(accumulate(a + 3 * b + c for a, b, c in zip(one, two, three)))
 
 
-def _relaxed_sums(m: int, args: Sequence[int]) -> list[int]:
-    """The relaxed summation S-hat(a, m) for each a in ``args``: the three
-    sums of S with each divisor capped at a but pair and triple sums at m.
+# moduli per block of the majorant sweep: bounds the divisor pairs held at
+# once (4,096 raised the peak RSS of a sweep to m = 100,000 by 4 MB more)
+_MAJORANT_BLOCK = 2048
+# the majorant's cross-multiplied sides fit int64 for m up to here
+_INT64_SIDES_M = 10**6
+
+
+def _sieved_pairs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every divisor pair (m, d), d | m, of lo <= m <= hi as two int64
+    arrays, sorted by m and then d.
+
+    A pair with d <= sqrt(m) comes from the multiples of d in
+    [max(lo, d*d), hi], and brings its cofactor m/d unless m == d*d, so d
+    runs to sqrt(hi) only and no m is factorised.
+    """
+    ms, ds = [], []
+    for d in range(1, isqrt(hi) + 1):
+        m = np.arange(max(-(-lo // d), d) * d, hi + 1, d, dtype=np.int64)
+        co = m[m != d * d]
+        ms += [m, co]
+        ds += [np.full(len(m), d, dtype=np.int64), co // d]
+    m, d = np.concatenate(ms), np.concatenate(ds)
+    order = np.argsort(m * (hi + 1) + d)
+    return m[order], d[order]
+
+
+def _listed_pairs(ms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """As :func:`_sieved_pairs`, for the ascending moduli ``ms``, from
+    :func:`~symprop.divisors.divisor_list`: for sparse moduli."""
+    divs = [divisor_list(m) for m in ms]
+    return (np.repeat(np.array(ms, dtype=np.int64), [len(ds) for ds in divs]),
+            np.array([d for ds in divs for d in ds], dtype=np.int64))
+
+
+def _relaxed_sums(pairs: tuple[np.ndarray, np.ndarray],
+                  qm: Sequence[int], qa: Sequence[int]) -> np.ndarray:
+    """The relaxed summation S-hat(a, m) at each query (m, a) of ``qm`` and
+    ``qa``: the three sums of S with each divisor capped at a but pair and
+    triple sums at m.  ``pairs`` holds every divisor pair (m, d) of at least
+    the queried m, sorted by m and then d, as from :func:`_sieved_pairs`.
 
     Split the divisors of m into the small ones (3d <= m, so any pair or
     triple of them passes the sum cap) and the rest, which can only be m/2
     or m: a divisor in (m/3, m] other than those would leave a cofactor
     strictly between 1 and 3.  Everything then reduces to prefix sums over
-    the small divisors plus a correction for m/2, with one genuinely
+    each m's divisors plus a correction for m/2, with one genuinely
     quadratic piece: the ordered pairs of small divisors summing to at most
     m/2.  It is needed only for arguments at or above m/2, where every small
-    divisor counts, so it is one number.  All of it is built once per m.
+    divisor counts, so it is one number per m; one ``searchsorted`` over the
+    sorted keys m*w + d (w above every m) counts it for every m at once.
+
+    All of it is exact in int64.  The prefix sums restart at each m, so
+    every number is a key, below (m + 1)**2, or at most S-hat(m, m) <=
+    sigma_2(m) + 3 d(m) sigma(m) + d(m)**3 < 2m**2 + 9m**2 + 3m**2, as
+    sigma_2(m) < zeta(2) m**2, sigma(m) <= d(m) m and d(m)**2 <= 3m (the
+    "half" bound of ``COUNT_BOUNDS``); all stay below 2**63 for
+    m <= 8 * 10**8.
     """
-    ds = divisor_list(m)
-    quad = list(accumulate(((d - 1) * (d - 2) for d in ds), initial=0))
-    lin = list(accumulate((d - 1 for d in ds), initial=0))
-    small = bisect_right(ds, m // 3)
-    for d in ds[small:]:
-        assert d == m or 2 * d == m
-    half = m // 2 if m % 2 == 0 else 0
-    half_pairs = sum(bisect_right(ds, half - x, 0, small) for x in ds[:small]) if half else 0
-    out = []
-    for a in args:
-        i = bisect_right(ds, a)
-        s = min(i, small)
-        h = 1 if half and half <= a else 0  # h implies s == small
-        pairs = lin[s] * (s + h) + h * (half - 1) * (s + 1)
-        out.append(quad[i] + 3 * pairs + s**3 + 3 * h * half_pairs)
-    return out
+    pm, pd = pairs
+    if pm[-1] > 8 * 10**8:
+        raise ValueError("S-hat is evaluated in int64 for m <= 8 * 10**8 only")
+    qm, qa = np.asarray(qm, dtype=np.int64), np.asarray(qa, dtype=np.int64)
+    w = int(pm[-1]) + 1
+    key = pm * w + pd
+    first = np.flatnonzero(np.r_[True, pm[1:] != pm[:-1]])  # where each m starts
+    start = np.repeat(first, np.diff(np.r_[first, len(pm)]))
+    small = 3 * pd <= pm
+    assert np.all(small | (pd == pm) | (2 * pd == pm))
+    # the sums over each m's first k divisors at its (k-1)-th pair; the first
+    # divisor, 1, adds 0 to both, so k = 0 reads the same place as k = 1
+    quad, lin = (_segment_cumsum(x, first) for x in ((pd - 1) * (pd - 2), pd - 1))
+    half_p = np.where(pm % 2 == 0, pm // 2, 0)  # m/2 at each pair, 0 for odd m
+    # for small x: the divisors d <= m/2 - x, found at key m*w + (m/2 - x)
+    below = np.searchsorted(key, key + half_p - 2 * pd, "right") - start
+    n_small = np.add.reduceat(small.astype(np.int64), first)
+    half_pairs = np.add.reduceat(np.where(small & (half_p > 0), below, 0), first)
+    half = half_p[first]
+    j = np.searchsorted(pm[first], qm)
+    at = first[j]
+    i = np.searchsorted(key, qm * w + np.clip(qa, 0, qm), "right") - at
+    s = np.minimum(i, n_small[j])
+    h = ((half[j] > 0) & (half[j] <= qa)).astype(np.int64)  # h implies s == n_small
+    pair_sums = lin[at + np.maximum(s - 1, 0)] * (s + h) + h * (half[j] - 1) * (s + 1)
+    return quad[at + np.maximum(i - 1, 0)] + 3 * pair_sums + s**3 + 3 * h * half_pairs[j]
+
+
+def _segment_cumsum(x: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Running sums of ``x`` that restart at each index of ``first``
+    (ascending, from 0): each restart subtracts the segment before it from
+    ``x``, which is overwritten."""
+    x[first[1:]] -= np.add.reduceat(x, first)[:-1]
+    return np.cumsum(x)
+
+
+def _majorant_sides(pairs: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The instances of the majorant step over the moduli of ``pairs``
+    (sorted as from :func:`_sieved_pairs`): arrays m, d, lhs, rhs, one entry
+    per divisor d of m with d > gamma(m)*sqrt(m), ascending in m and then d,
+    where the step holds iff lhs <= rhs.
+
+    For gamma(m) = p/q from :func:`~symprop.divisors.gamma_value`, d
+    qualifies iff (dq)**2 > p**2 m, and the step is cross-multiplied by dq:
+    lhs = S-hat(d, m) d q and rhs = (d-1)(d-2)(dq + pm).  Both are int64
+    while every m is at most ``_INT64_SIDES_M`` = 10**6: rhs <= 3m**3 for
+    m > 360 (gamma = 2) and far less below, and S-hat(d, m) d < 1.7 * 10**18,
+    from S-hat(m, m) <= sigma_2(m) + 3 d(m) sigma(m) + d(m)**3 with
+    sigma_2(m) < 1.65 m**2, sigma(m) <= m (1 + ln d(m)) and d(m)**2 <= 3m.
+    Above that, both are Python ints.
+    """
+    pm, pd = pairs
+    first = np.flatnonzero(np.r_[True, pm[1:] != pm[:-1]])
+    gammas = [gamma_value(m) for m in pm[first].tolist()]
+    counts = np.diff(np.r_[first, len(pm)])
+    p = np.repeat(np.array([g.numerator for g in gammas], dtype=np.int64), counts)
+    q = np.repeat(np.array([g.denominator for g in gammas], dtype=np.int64), counts)
+    keep = (pd * q) ** 2 > p * p * pm
+    m, d, p, q = pm[keep], pd[keep], p[keep], q[keep]
+    s = _relaxed_sums(pairs, m, d)
+    if pm[-1] > _INT64_SIDES_M:
+        s, d, p, q, m = (x.astype(object) for x in (s, d, p, q, m))
+    return m, d, s * d * q, (d - 1) * (d - 2) * (d * q + p * m)
 
 
 def _tightest(sides: Iterable[tuple[int, int, int]]
@@ -212,14 +308,14 @@ def verify_shat_condition(m: int) -> BoundReport:
 
         S-hat(d, m) <= (d-1)(d-2)(1 + gamma(m)*m/d),
 
-    S-hat read from :func:`_relaxed_sums` for all of them at once.  The
-    threshold comparison is exact (d**2 * q**2 > p**2 * m for
-    gamma = p/q) and the main comparison is cross-multiplied by d*q.
-    The report fails iff some qualifying divisor violates the
-    inequality; the witness names all of them.  Across 2 <= m <= 2000
-    together with the refined divisor-count candidates, the failures
-    are exactly m = 72 and m = 120; for those two values
-    :func:`verify_exceptional_m` settles the full n-range directly.
+    read from :func:`_majorant_sides` as a batch of one modulus, so a
+    report compares exactly the sides the sweep compares.  The threshold
+    comparison is exact (d**2 * q**2 > p**2 * m for gamma = p/q) and the
+    main comparison is cross-multiplied by d*q.  The report fails iff some
+    qualifying divisor violates the inequality; the witness names all of
+    them.  Across 2 <= m <= 19020 together with the refined divisor-count
+    candidates, the failures are exactly m = 72 and m = 120; for those two
+    values :func:`verify_exceptional_m` settles the full n-range directly.
     A divisor landing exactly on the threshold (d*q == p*sqrt(m),
     which happens at square m such as m = 100, d = 25) is excluded,
     as the comparison is strict; the witness notes any such divisor.
@@ -228,15 +324,10 @@ def verify_shat_condition(m: int) -> BoundReport:
         raise ValueError("needs m >= 2")
     g = gamma_value(m)
     p, q = g.numerator, g.denominator
-    divs, p2m = divisor_list(m), p * p * m
-    # d*q > sqrt(p2m) iff d*q > isqrt(p2m), so the qualifying divisors are a
-    # suffix, and only the divisor just below it can sit on the threshold
-    first = bisect_right(divs, isqrt(p2m) // q)
-    boundary = [d for d in divs[first - 1 : first] if d * d * q * q == p2m]
-    above = divs[first:]
+    boundary = [d for d in divisor_list(m) if d * d * q * q == p * p * m]
+    _, above, lhs, rhs = _majorant_sides(_listed_pairs([m]))
     # rhs > 0, as d > gamma*sqrt(m) >= 2*sqrt(2)
-    failing, tight = _tightest([(s * d * q, (d - 1) * (d - 2) * (d * q + p * m), d)
-                                for d, s in zip(above, _relaxed_sums(m, above))])
+    failing, tight = _tightest(zip(lhs.tolist(), rhs.tolist(), above.tolist()))
     notes = []
     if failing:
         notes.append("fails at d=" + ",".join(map(str, failing)))
@@ -288,18 +379,27 @@ def sweep_divisor_majorant(
     """Run the divisor-by-divisor check over ``majorant_moduli(m_max,
     include_candidates)``.
 
+    The moduli go in batches, each one :func:`_majorant_sides` call:
+    blocks of at most ``_MAJORANT_BLOCK`` consecutive m up to m_max, each
+    sieved over its own range, then the listed candidates on either side of
+    ``_INT64_SIDES_M``.  So only one batch's divisor pairs are held, and no
+    m up to m_max is factorised.  Each failing m is reported by
+    :func:`verify_shat_condition`.
+
     Returns the failing reports, ascending in m; the expected failure set
     is EXPECTED_MAJORANT_FAILURES intersected with those moduli.
     """
-    ms = majorant_moduli(m_max, include_candidates)
-    failures: list[BoundReport] = []
-    for i, m in enumerate(ms):
-        rep = verify_shat_condition(m)
-        if not rep.passed:
-            failures.append(rep)
-        if (i + 1) % 2000 == 0:
-            note(f"divisor majorant: {i + 1}/{len(ms)} values of m")
-    return failures
+    listed = majorant_moduli(m_max, include_candidates)[m_max - 1:]
+    batches = chain(
+        (_sieved_pairs(lo, min(lo + _MAJORANT_BLOCK - 1, m_max))
+         for lo in range(2, m_max + 1, _MAJORANT_BLOCK)),
+        (_listed_pairs(part) for part in ([m for m in listed if m <= _INT64_SIDES_M],
+                                          [m for m in listed if m > _INT64_SIDES_M]) if part))
+    failing: list[int] = []
+    for pairs in batches:
+        m, _, lhs, rhs = _majorant_sides(pairs)
+        failing += np.unique(m[lhs > rhs]).tolist()
+    return [verify_shat_condition(m) for m in failing]
 
 
 # --- certified tail evaluation -----------------------------------------------

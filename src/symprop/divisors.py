@@ -281,7 +281,14 @@ def is_divisor_rich_candidate(n: int) -> bool:
 def check_quadratic_divisor_sum(n: int, a: int, b: int) -> BoundReport:
     """Check sum_{d|n, a<=d<=b} (d-1)(d-2) <= (b-1)(b-2) + nb - na.
 
-    Requires 1 <= a <= b <= n.
+    Requires 1 <= a <= b <= n.  The bound holds for every n, by this proof:
+    - for divisors d < d' of n, lcm(d, d') divides n, so d*d' <= n*gcd(d, d'),
+      and gcd(d, d') divides d' - d, so d*d' <= n(d' - d);
+    - for the divisors d_1 < ... < d_k in [a, b], each (d_i - 1)(d_i - 2) <=
+      d_i**2, so sum_{i<k} (d_i - 1)(d_i - 2) <= sum_{i<k} d_i d_{i+1}
+      <= n(d_k - d_1) <= n(b - a);
+    - the last one gives (d_k - 1)(d_k - 2) <= (b - 1)(b - 2), as (x-1)(x-2)
+      does not decrease over the integers x >= 1.
     """
     if not (1 <= a <= b <= n):
         raise ValueError("need 1 <= a <= b <= n")
@@ -301,7 +308,9 @@ def check_quadratic_divisor_sum(n: int, a: int, b: int) -> BoundReport:
 
 def sweep_quadratic_divisor_sums(n_max: int) -> list[BoundReport]:
     """Exhaustively check the quadratic divisor-sum bound for all
-    1 <= a <= b <= n <= n_max.  Returns the failures (expected empty).
+    1 <= a <= b <= n <= n_max.  Returns the failures, empty for every
+    n_max: :func:`check_quadratic_divisor_sum` proves the bound from
+    d*d' <= n(d' - d) for divisors d < d' of n, so this is a cross-check.
 
     Only pairs of divisors a <= b of n need checking.  The left side
     changes only where a or b crosses a divisor, while the right side

@@ -1,13 +1,21 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import divisor_sum_naive
+from symprop import bounds, divisors
 from symprop.bounds import (
+    _INT64_SIDES_M,
     EXPECTED_MAJORANT_FAILURES,
     _capped_sums,
+    _listed_pairs,
+    _majorant_sides,
     _relaxed_sums,
+    _sieved_pairs,
     check_excess_monotone,
     majorant_moduli,
     check_excess_threshold,
@@ -20,7 +28,7 @@ from symprop.bounds import (
     verify_exceptional_m,
     verify_shat_condition,
 )
-from symprop.divisors import divisor_list, gamma_value
+from symprop.divisors import divisor_list, divisor_rich_candidates, gamma_value
 
 
 def test_upper_bound_values():
@@ -102,12 +110,16 @@ def test_majorant_sums_are_pinned():
     # visits, and S(n, m) over the whole range of the two direct checks;
     # the digest was taken from the per-m evaluator and the one-point S
     # that these two functions replaced
-    lines = []
-    for m in majorant_moduli(19020):
+    ms = majorant_moduli(19020)
+    qm, qa = [], []
+    for m in ms:
         g = gamma_value(m)
         p, q = g.numerator, g.denominator
         ds = [d for d in divisor_list(m) if d * d * q * q > p * p * m]
-        lines += [f"S-hat {d} {m} {s}\n" for d, s in zip(ds, _relaxed_sums(m, ds))]
+        qm += [m] * len(ds)
+        qa += ds
+    sums = _relaxed_sums(_listed_pairs(ms), qm, qa).tolist()
+    lines = [f"S-hat {d} {m} {s}\n" for m, d, s in zip(qm, qa, sums)]
     for m in (72, 120):
         capped = _capped_sums(m, m + 1)
         lines += [f"S {n} {m} {capped[n]}\n" for n in range(3, m + 2)]
@@ -125,6 +137,77 @@ def test_majorant_sweep_failure_set():
 def test_majorant_sweep_small_range():
     failures = sweep_divisor_majorant(60, include_candidates=False)
     assert failures == []
+
+
+def test_relaxed_sums_against_the_naive_oracle():
+    # every divisor and a few other arguments (0, m/2 - 1, m + 1, 2m) of
+    # every m <= 300, all in one batch of moduli
+    ms = range(1, 301)
+    queries = [(m, a) for m in ms for a in divisor_list(m) + (0, m // 2 - 1, m + 1, 2 * m)]
+    qm, qa = zip(*queries)
+    sums = _relaxed_sums(_listed_pairs(ms), qm, qa).tolist()
+    assert sums == [divisor_sum_naive(a, m, m) for m, a in queries]
+
+
+def test_majorant_sides_at_the_int64_cutoff():
+    # the two candidates nearest the cutoff, one on each side of it
+    below = max(c for c in divisor_rich_candidates() if c <= _INT64_SIDES_M)
+    above = min(c for c in divisor_rich_candidates() if c > _INT64_SIDES_M)
+    assert (below, above) == (997920, 1108800)
+    for m in (below, above):
+        first = next(d for d in divisor_list(m) if d * d > 4 * m)  # gamma = 2
+        assert m % 1000
+        assert _relaxed_sums(_listed_pairs([m]), [m, m], [first, 1000]).tolist() == [
+            divisor_sum_naive(first, m, m), divisor_sum_naive(1000, m, m)]
+    # below the cutoff the sides are int64, and a batch that holds both
+    # candidates takes Python ints for all of them: the same numbers
+    alone = _majorant_sides(_listed_pairs([below]))
+    both = _majorant_sides(_listed_pairs([below, above]))
+    assert alone[2].dtype == np.int64 and both[2].dtype == object
+    m, d, lhs, rhs = columns = [column.tolist() for column in both]
+    n = len(alone[0])
+    assert [column[:n] for column in columns] == [part.tolist() for part in alone]
+    # and the sides are the cross-multiplied majorant itself
+    shat = _relaxed_sums(_listed_pairs([below, above]), m, d).tolist()
+    assert lhs == [s * x for s, x in zip(shat, d)]
+    assert rhs == [(x - 1) * (x - 2) * (x + 2 * y) for x, y in zip(d, m)]
+
+
+def test_sieved_pairs_are_the_listed_pairs():
+    for lo, hi in ((1, 1), (2, 2), (2, 300), (4000, 4103), (19000, 19020)):
+        sieved, listed = _sieved_pairs(lo, hi), _listed_pairs(range(lo, hi + 1))
+        assert all(np.array_equal(a, b) for a, b in zip(sieved, listed))
+
+
+def test_majorant_sweep_does_not_depend_on_the_block(monkeypatch):
+    want = [r.record() for r in sweep_divisor_majorant(3000)]
+    monkeypatch.setattr(bounds, "_MAJORANT_BLOCK", 7)
+    assert [r.record() for r in sweep_divisor_majorant(3000)] == want
+    assert [r["m"] for r in want] == [72, 120]
+
+
+def test_majorant_sweep_reads_gamma_from_gamma_value(monkeypatch):
+    # a gamma copied into the batched check would miss the patched value
+    monkeypatch.setattr(divisors, "GAMMA_MID", Fraction(2))
+    got = [r.m for r in sweep_divisor_majorant(400, include_candidates=False)]
+    assert got == [m for m in range(2, 401) if not verify_shat_condition(m).passed]
+    assert got == [72, 84, 120, 180]
+
+
+def test_majorant_sweep_memory_is_bounded():
+    sweep_divisor_majorant(60)  # the candidates' divisor lists, cached once
+    tracemalloc.start()
+    try:
+        sweep_divisor_majorant(19020)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # no m of the dense range is factorised, so the divisor cache stays put
+    sweep_divisor_majorant(3000, include_candidates=False)
+    size = divisor_list.cache_info().currsize
+    sweep_divisor_majorant(12000, include_candidates=False)
+    assert divisor_list.cache_info().currsize == size
 
 
 def test_excess_ratio_certificates():

@@ -250,6 +250,19 @@ def test_quadratic_sweep_clean_small():
     assert sweep_quadratic_divisor_sums(300) == []
 
 
+def test_quadratic_lemma_step_on_consecutive_divisors():
+    # the proof's one step, d*d' <= n(d' - d) for consecutive divisors
+    # d < d' of n, for every n <= 20,000, with divisors from a plain sieve
+    top = 20_000
+    divs: list[list[int]] = [[] for _ in range(top + 1)]
+    for d in range(1, top + 1):
+        for n in range(d, top + 1, d):
+            divs[n].append(d)
+    for n in range(1, top + 1):
+        ds = divs[n]
+        assert all(d * e <= n * (e - d) for d, e in zip(ds, ds[1:])), n
+
+
 def test_quadratic_sums_need_only_divisor_pairs():
     # the sweep checks only a <= b both dividing n; over every range
     # 1 <= a <= b <= n the largest excess of the left side is the same

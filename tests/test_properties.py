@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_prop, power_order
-from symprop.bounds import _capped_sums, _relaxed_sums
+from symprop.bounds import _capped_sums, _listed_pairs, _relaxed_sums
 from symprop.divisors import (
     check_quadratic_divisor_sum,
     divisor_list,
@@ -164,13 +164,13 @@ def test_signed_and_alternating_ranges(n, m):
 @settings(deadline=None, max_examples=80)
 def test_capped_below_relaxed_on_small_degrees(m, n):
     if n <= m:
-        assert _capped_sums(m, n)[n] <= _relaxed_sums(m, [n])[0]
+        assert _capped_sums(m, n)[n] <= _relaxed_sums(_listed_pairs([m]), [m], [n])[0]
 
 
 @given(m=st.integers(3, 60))
 @settings(deadline=None)
 def test_caps_coincide_at_equal_arguments(m):
-    assert _capped_sums(m, m)[m] == _relaxed_sums(m, [m])[0]
+    assert _capped_sums(m, m)[m] == _relaxed_sums(_listed_pairs([m]), [m], [m])[0]
 
 
 def _walk_cycles(perm: list[int]) -> list[list[int]]:

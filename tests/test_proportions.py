@@ -5,7 +5,7 @@ from math import factorial, lcm
 import pytest
 
 from oracles import brute_force_prop, divisor_sum_naive, iter_partitions, prob_A_centralizer
-from symprop.bounds import _capped_sums, _relaxed_sums
+from symprop.bounds import _capped_sums, _listed_pairs, _relaxed_sums
 from symprop.proportions import (
     prop_alternating,
     prop_order_dividing,
@@ -125,9 +125,15 @@ def test_recursion_vs_partition_oracle(table):
             )
 
 
+def _shat(m, args):
+    """S-hat(a, m) for each a in ``args``, from a batch of one modulus."""
+    args = list(args)
+    return _relaxed_sums(_listed_pairs([m]), [m] * len(args), args).tolist()
+
+
 def test_divisor_sum_relaxed_vs_naive():
     for n, m in ((10, 10), (12, 24), (25, 24), (17, 16), (30, 60)):
-        assert _relaxed_sums(m, [n]) == [divisor_sum_naive(n, m, m)]
+        assert _shat(m, [n]) == [divisor_sum_naive(n, m, m)]
 
 
 def test_divisor_sum_capped_below_relaxed():
@@ -135,12 +141,12 @@ def test_divisor_sum_capped_below_relaxed():
     for m in (6, 10, 12, 24, 36):
         ns = range(3, m + 1)
         capped = _capped_sums(m, m)
-        for n, relaxed in zip(ns, _relaxed_sums(m, ns)):
+        for n, relaxed in zip(ns, _shat(m, ns)):
             assert capped[n] <= relaxed
 
 
 def test_divisor_sum_relaxed_m1():
-    assert _relaxed_sums(1, [3, 5, 10]) == [0, 0, 0]
+    assert _shat(1, [3, 5, 10]) == [0, 0, 0]
 
 
 def test_capped_sum_brute():
