@@ -168,6 +168,9 @@ def _capped_sums(m: int, top: int) -> list[int]:
 # moduli per block of the majorant sweep: bounds the divisor pairs held at
 # once (4,096 raised the peak RSS of a sweep to m = 100,000 by 4 MB more)
 _MAJORANT_BLOCK = 2048
+# listed candidates per batch of the majorant sweep: bounds peak RSS, as
+# the batch's divisor pairs each carry about a dozen int64 temporaries
+_CANDIDATE_CHUNK = 128
 # the majorant's cross-multiplied sides fit int64 for m up to here
 _INT64_SIDES_M = 10**6
 
@@ -362,15 +365,14 @@ def verify_exceptional_m(m: int) -> BoundReport:
                        not failing, witness)
 
 
-def majorant_moduli(m_max: int, include_candidates: bool = True) -> list[int]:
-    """The m the divisor majorant sweep visits, ascending: 2 <= m <= m_max,
-    then, when asked, every refined divisor-count candidate above m_max."""
+def majorant_moduli(m_max: int, include_candidates: bool = True) -> tuple[range, list[int]]:
+    """The m the divisor majorant sweep visits, ascending: the range
+    2 <= m <= m_max, then, when asked, the list of every refined
+    divisor-count candidate above m_max.  Only the candidates are listed."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    ms = list(range(2, m_max + 1))
-    if include_candidates:
-        ms.extend(c for c in divisor_rich_candidates() if c > m_max)
-    return ms
+    listed = [c for c in divisor_rich_candidates() if c > m_max] if include_candidates else []
+    return range(2, m_max + 1), listed
 
 
 def sweep_divisor_majorant(
@@ -380,25 +382,25 @@ def sweep_divisor_majorant(
     include_candidates)``.
 
     The moduli go in batches, each one :func:`_majorant_sides` call:
-    blocks of at most ``_MAJORANT_BLOCK`` consecutive m up to m_max, each
-    sieved over its own range, then the listed candidates on either side of
-    ``_INT64_SIDES_M``.  So only one batch's divisor pairs are held, and no
-    m up to m_max is factorised.  Each failing m is reported by
+    blocks of at most ``_MAJORANT_BLOCK`` consecutive m of the range, each
+    sieved over its own range, then the listed candidates in ascending
+    chunks of ``_CANDIDATE_CHUNK``.  So only one batch's divisor pairs are
+    held, and no m up to m_max is factorised.  Each failing m is reported by
     :func:`verify_shat_condition`.
 
     Returns the failing reports, ascending in m; the expected failure set
     is EXPECTED_MAJORANT_FAILURES intersected with those moduli.
     """
-    listed = majorant_moduli(m_max, include_candidates)[m_max - 1:]
+    sieved, listed = majorant_moduli(m_max, include_candidates)
     batches = chain(
         (_sieved_pairs(lo, min(lo + _MAJORANT_BLOCK - 1, m_max))
-         for lo in range(2, m_max + 1, _MAJORANT_BLOCK)),
-        (_listed_pairs(part) for part in ([m for m in listed if m <= _INT64_SIDES_M],
-                                          [m for m in listed if m > _INT64_SIDES_M]) if part))
+         for lo in sieved[::_MAJORANT_BLOCK]),
+        (_listed_pairs(listed[at : at + _CANDIDATE_CHUNK])
+         for at in range(0, len(listed), _CANDIDATE_CHUNK)))
     failing: list[int] = []
     for pairs in batches:
         m, _, lhs, rhs = _majorant_sides(pairs)
-        failing += np.unique(m[lhs > rhs]).tolist()
+        failing += dict.fromkeys(m[lhs > rhs].tolist())  # each failing m once, ascending
     return [verify_shat_condition(m) for m in failing]
 
 

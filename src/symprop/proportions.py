@@ -17,7 +17,8 @@ shares e(k) + o(k) = P(k, m), e(0) = 1, o(0) = 0, gives
 since the rest of a permutation whose cycle through the point has length d
 has the same parity iff d is odd.  The proportion inside A_k is 2 e(k)
 (k >= 2), and the signed proportion, each permutation weighted by its sign,
-is e(k) - o(k).  Every term of both recursions is non-negative.
+is e(k) - o(k).  Every term of both recursions is non-negative.  The e/o
+shares serve only the exact rows; no float code computes them.
 
 :class:`ProportionTable` is exact.  It runs the recursions on integers
 scaled by L!, for the last degree L of a row: F(j) = L! P(j, m) and
@@ -27,9 +28,9 @@ exact because j F(j) = L! j P(j, m) is the sum and F(j) = (L!/j!) j! P(j, m)
 is an integer (j! P(j, m) counts permutations).  A Fraction is formed only
 at query time.
 
-:func:`prop_enclosure` runs the same recursions in float64, on proportions,
+:func:`prop_enclosure` runs the first recursion in float64, on proportions,
 so no factorial is ever formed, for many moduli at once.  Nothing cancels,
-and the computed value v of p(n) (or of 2 e(n)) obeys the written bound
+and the computed value v of p(n) obeys the written bound
 
     |v - exact| <= 4 N u v + 4 n eta,      N = n D,  provided N u <= 1/4,
 
@@ -51,10 +52,10 @@ divisors d <= n of m.  Why it holds:
   at most n eta in all.
 * Solving |v - p| <= gamma_N p + n eta for p gives
   |v - p| <= (gamma_N v + n eta) / (1 - gamma_N) <= 2 N u v + 1.5 n eta
-  when N u <= 1/4, and twice that for 2 e(n).  The written bound has a
-  spare factor of at least 4/3 in each term, which covers the roundings
-  made when it is evaluated; the enclosure's endpoints v -/+ bound are then
-  rounded outward by one step (nextafter).
+  when N u <= 1/4.  The written bound has a spare factor of at least 4/3
+  in each term, which covers the roundings made when it is evaluated; the
+  enclosure's endpoints v -/+ bound are then rounded outward by one step
+  (nextafter).
 
 The module also provides the split of P(n, m) by how three marked points
 fall among the cycles.  It weighs each P(n - s, m) by the ways the cycles
@@ -265,11 +266,9 @@ def float_error(values: np.ndarray, depth: np.ndarray, terms: np.ndarray) -> np.
     return 4 * UNIT_ROUNDOFF * (depth * terms) * values + 4 * SMALLEST_SUBNORMAL * depth
 
 
-def _float_rows(
-    moduli: Sequence[int], upto: int, alternating: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Computed p(k) (or 2 e(k)) at [k, i] for modulus moduli[i], k <= upto,
-    and the number of divisors d <= upto of each modulus.
+def _float_rows(moduli: Sequence[int], upto: int) -> tuple[np.ndarray, np.ndarray]:
+    """Computed p(k) at [k, i] for modulus moduli[i], k <= upto, and the
+    number of divisors d <= upto of each modulus.
 
     Step k gathers the (divisor, column) pairs with d <= k, a prefix of the
     pairs sorted by divisor, and sums them per column with one bincount.
@@ -283,35 +282,24 @@ def _float_rows(
     d, col = d[order], col[order]
     active = np.searchsorted(d, np.arange(upto + 1), side="right")
     back = col - d * width  # entry [k - d, col] of a row-major array sits at k*width + back
-    shares = 2 if alternating else 1  # p alone, or the even and odd shares e, o
-    tables = np.zeros((shares, upto + 1, width))
-    tables[0, 0] = 1.0
-    flat = tables.reshape(shares, -1)
-    odd = d % 2 == 1
+    table = np.zeros((upto + 1, width))
+    table[0] = 1.0
+    flat = table.reshape(-1)
     for k in range(1, upto + 1):
         j = active[k]
-        at = k * width + back[:j]
-        if not alternating:
-            tables[0, k] = np.bincount(col[:j], flat[0, at], width) / k
-            continue
-        e, o, same = flat[0, at], flat[1, at], odd[:j]
-        tables[0, k] = np.bincount(col[:j], np.where(same, e, o), width) / k
-        tables[1, k] = np.bincount(col[:j], np.where(same, o, e), width) / k
-    return (2 * tables[0] if alternating else tables[0]), terms
+        table[k] = np.bincount(col[:j], flat[k * width + back[:j]], width) / k
+    return table, terms
 
 
-def prop_enclosure(
-    moduli: Sequence[int], upto: int, *, alternating: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def prop_enclosure(moduli: Sequence[int], upto: int) -> tuple[np.ndarray, np.ndarray]:
     """Float64 arrays lo, hi with lo <= P(k, m) <= hi, certified.
 
-    Entry [k, i] belongs to degree k <= upto and modulus moduli[i]; with
-    ``alternating`` it encloses the proportion in A_k instead (k >= 2).
-    The error bound is the one written in the module docstring.
+    Entry [k, i] belongs to degree k <= upto and modulus moduli[i].  The
+    error bound is the one written in the module docstring.
     """
     if upto < 0 or any(m < 1 for m in moduli):
         raise ValueError("need upto >= 0 and positive moduli")
-    values, terms = _float_rows(moduli, upto, alternating)
+    values, terms = _float_rows(moduli, upto)
     if upto * int(terms.max(initial=0)) * UNIT_ROUNDOFF > 0.25:
         raise ValueError("rows too deep for the written float bound")
     err = float_error(values, np.arange(upto + 1)[:, None], terms)

@@ -45,14 +45,18 @@ its own degree n = m + offset, families 2 and 3 share 2r, and families 6 to
 :func:`cond_prob`, the command line's table2 and csv/json verify-thm2, and
 the exact fallback of :func:`sweep_theorem2` all go through it; the sweep
 sends every degree its filter leaves open to one batch.  It passes a degree
-without the exact value only when P(A) over the upper end of the float64
-enclosure of P(B) (see :mod:`symprop.proportions`), a rational lower bound
-for P(A | B), already clears both floors by the same exact predicate that
-judges the exact conditional; every other degree, and every failure it
-reports, is computed exactly.  The absolute lower bounds on P(A | B) are
-1/2 for the single-cycle families (weakening to 2/7 for case 1 when n
-divides 24), and 1/3 for the rest, except a short list of small degrees
-where 1/4, 3/10 or 3/20 is the true floor.
+without the exact value only when P(A) over an upper bound hi_B for P(B), a
+rational lower bound for P(A | B), already clears both floors by the same
+exact predicate that judges the exact conditional; every other degree, and
+every failure it reports, is computed exactly.  hi_B is the upper end of
+the float64 enclosure of P(B) in S_n (see :mod:`symprop.proportions`),
+doubled for the A_n families: for any event B, B and A_n meet in at most
+|B| elements and |A_n| = n!/2, so P_{A_n}(B) <= 2 P_{S_n}(B).  The bound is
+tight for odd moduli (families 4 and 5), whose B holds even permutations
+only.  The absolute lower bounds on P(A | B) are 1/2 for the single-cycle
+families (weakening to 2/7 for case 1 when n divides 24), and 1/3 for the
+rest, except a short list of small degrees where 1/4, 3/10 or 3/20 is the
+true floor.
 """
 
 from __future__ import annotations
@@ -351,21 +355,24 @@ def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
 def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[CaseSpec]:
     """The specs of one family whose degrees the float filter cannot pass.
 
-    P(B) is enclosed from its terms (see :func:`_b_moduli`) in the family's
-    computation group.  Its upper end hi_B is that of the first term, less
-    the lower end of the second when there is one, rounded up.  As
-    hi_B >= P(B) >= P(A) > 0, the rational P(A)/hi_B is at most P(A | B),
-    and both floors only get easier as the conditional grows, so a degree
-    passes when :func:`_floors_hold` holds for P(A)/hi_B.
+    P(B) is enclosed in S_n from its terms (see :func:`_b_moduli`).  Its
+    upper end hi_B is that of the first term, less the lower end of the
+    second when there is one, rounded up; in A_n it is doubled, which is
+    exact in float64, as P_{A_n}(B) <= 2 P_{S_n}(B) for every event B (A_n
+    holds half of S_n).  As hi_B >= P(B) >= P(A) > 0 in the computation
+    group, the rational P(A)/hi_B is at most P(A | B), and both floors only
+    get easier as the conditional grows, so a degree passes when
+    :func:`_floors_hold` holds for P(A)/hi_B.
     """
     terms = list(zip(*map(_b_moduli, specs)))  # terms[j][i]: term j of P(B) at specs[i]
     ns = np.array([spec.n for spec in specs])
-    lo, hi = prop_enclosure([m for col in terms for m in col], int(ns.max()),
-                            alternating=specs[0].calc_group == "A")
+    lo, hi = prop_enclosure([m for col in terms for m in col], int(ns.max()))
     cols = np.arange(len(specs))
     hi_b = hi[ns, cols]
     if len(terms) > 1:
         hi_b = np.nextafter(hi_b - lo[ns, cols + len(specs)], np.inf)
+    if specs[0].calc_group == "A":
+        hi_b = 2 * hi_b
     for spec, ceiling in zip(specs, hi_b.tolist()):
         # an infinite or NaN end decides nothing; Fraction(ceiling) is exact
         if not (ceiling < inf and _floors_hold(spec, prob_A(spec) / Fraction(ceiling))):

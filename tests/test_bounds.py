@@ -110,7 +110,7 @@ def test_majorant_sums_are_pinned():
     # visits, and S(n, m) over the whole range of the two direct checks;
     # the digest was taken from the per-m evaluator and the one-point S
     # that these two functions replaced
-    ms = majorant_moduli(19020)
+    ms = [m for part in majorant_moduli(19020) for m in part]
     qm, qa = [], []
     for m in ms:
         g = gamma_value(m)
@@ -208,6 +208,34 @@ def test_majorant_sweep_memory_is_bounded():
     size = divisor_list.cache_info().currsize
     sweep_divisor_majorant(12000, include_candidates=False)
     assert divisor_list.cache_info().currsize == size
+
+
+def test_majorant_sweep_does_not_depend_on_the_candidate_chunk(monkeypatch):
+    want = [r.record() for r in sweep_divisor_majorant(60)]
+    # chunks of 7 put 997,920 and 1,108,800 in one chunk, on the Python-int path
+    monkeypatch.setattr(bounds, "_CANDIDATE_CHUNK", 7)
+    _, listed = majorant_moduli(60)
+    at = listed.index(997920)
+    assert at // 7 == (at + 1) // 7 and listed[at + 1] == 1108800
+    assert [r.record() for r in sweep_divisor_majorant(60)] == want
+    assert [r["m"] for r in want] == [72, 120]
+
+
+def test_majorant_moduli_list_only_the_candidates():
+    tracemalloc.start()
+    try:
+        sieved, listed = majorant_moduli(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of every m up to 10**6 alone would take tens of MB
+    assert peak < 2**20
+    assert sieved == range(2, 10**6 + 1)
+    assert listed == [c for c in divisor_rich_candidates() if c > 10**6]
+    assert len(listed) == 19 and listed == sorted(listed)
+    assert majorant_moduli(10**6, include_candidates=False)[1] == []
+    with pytest.raises(ValueError):
+        majorant_moduli(1)
 
 
 def test_excess_ratio_certificates():

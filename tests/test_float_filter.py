@@ -39,18 +39,24 @@ def rows(draw):
     return n, m
 
 
-@given(row=rows(), alternating=st.booleans())
+@given(row=rows())
 @settings(max_examples=40, deadline=None)
-def test_enclosure_holds_the_exact_value(row, alternating):
+def test_enclosure_holds_the_exact_value(row):
     n, m = row
     table = ProportionTable()
-    lo, hi = prop_enclosure([m], n, alternating=alternating)
+    lo, hi = prop_enclosure([m], n)
     for k in range(2, n + 1):
-        exact = prop_alternating(k, m) if alternating else table.prop(k, m)
+        exact = table.prop(k, m)
         low, high = lo[k, 0].item(), hi[k, 0].item()
         # float against Fraction compares exactly
-        assert low <= exact <= high, (k, m, alternating)
-        assert high - low <= 1e-10 * high + 1e-300, (k, m, alternating)
+        assert low <= exact <= high, (k, m)
+        assert high - low <= 1e-10 * high + 1e-300, (k, m)
+        # the A_n proportion is at most twice the S_n one, and equals it
+        # for odd m, whose permutations are all even
+        alternating = prop_alternating(k, m)
+        assert alternating <= 2 * high, (k, m)
+        if m % 2:
+            assert 2 * low <= alternating, (k, m)
 
 
 def test_enclosure_past_the_underflow():
@@ -136,13 +142,31 @@ def test_theorem2_filter_agrees_with_exact(case, strict, monkeypatch):
         assert len(failures) == 22
 
 
-def test_theorem2_count_line_shows_only_the_failures_go_exact():
+def test_theorem2_count_line_shows_only_family_10_goes_exact():
+    # the A_n families are filtered on twice their S_n enclosure, which
+    # leaves 8 of family 10's degrees up to 100 open; only 37 and 85 fail
     status, out, err = _run(THM2)
     assert status == 1
     failing = [line for line in out.splitlines() if "FAIL" in line]
     assert len(failing) == 2 and "n=37" in failing[0] and "n=85" in failing[1]
     degrees = int(out.split(": ")[1].split()[0])
-    assert _counts(err) == (degrees - 2, 2)
+    assert _counts(err) == (degrees - 8, 8)
+    sent = [line.split(":")[0] for line in err.splitlines()
+            if "cells decided" in line and not line.endswith(" 0 by exact arithmetic")]
+    assert sent == ["case 10"]
+
+
+@pytest.mark.parametrize("case, hi, want", [
+    (4, 1000, []),
+    (5, 1000, []),
+    (10, 1000, [13, 19, 25, 37, 49, 55, 61, 85, 145]),
+])
+def test_theorem2_open_degrees_are_pinned(case, hi, want):
+    # the degrees the float filter leaves to exact arithmetic in the A_n
+    # families, whose P(B) is bounded by twice its S_n enclosure
+    specs = [case_params(case, n) for n in admissible_degrees(case, 1, hi)]
+    assert len(specs) <= proportions.ENCLOSURE_COLUMNS  # one block, as the sweep sends it
+    assert [spec.n for spec in recognition._open_degrees(specs)] == want
 
 
 @pytest.mark.parametrize("argv", [THM1, THM2], ids=" ".join)
