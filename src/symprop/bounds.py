@@ -98,16 +98,18 @@ def _open_cells(tasks: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, in
     rounded, and one step down (nextafter) puts it below the true bound.
     """
     ms, first, last = (np.array(column) for column in zip(*tasks))
-    upto = int(last.max())
-    _, hi = prop_enclosure(ms.tolist(), upto)
-    gammas = [gamma_value(m) for m in ms.tolist()]
-    p = np.array([g.numerator for g in gammas])
-    q = np.array([g.denominator for g in gammas])
-    n = np.arange(1, upto + 1)[:, None]
-    num, den = n * q + p * ms, n * n * q
-    passed = (hi[1:] <= np.nextafter(num / den, -np.inf)) & (den < 2**53)
-    rows, cols = np.nonzero((n >= first) & (n <= last) & ~passed)
-    return zip((rows + 1).tolist(), ms[cols].tolist())
+    n = np.arange(int(last.max()) + 1)[:, None]
+    # only the tasks' cells, row-major: by n, then task
+    rows, cols = np.nonzero((n >= first) & (n <= last))
+    hi = prop_enclosure(ms.tolist(), rows, cols)[1]
+    p, q = np.array([gamma_value(m).as_integer_ratio() for m in ms.tolist()]).T
+    num = rows * q[cols]
+    den = num * rows
+    num += (p * ms)[cols]  # in place: the cells can outnumber the table's entries
+    bound = num / den
+    # NaN-safe: an enclosure end that compares false stays open
+    undecided = ~(hi <= np.nextafter(bound, -np.inf, out=bound)) | (den >= 2**53)
+    return zip(rows[undecided].tolist(), ms[cols[undecided]].tolist())
 
 
 def sweep_prop_bound(n_lo: int = 5, n_hi: int = 300, m_multiplier: int = 3) -> list[BoundReport]:

@@ -29,13 +29,14 @@ is an integer (j! P(j, m) counts permutations).  A Fraction is formed only
 at query time.
 
 :func:`prop_enclosure` runs the first recursion in float64, on proportions,
-so no factorial is ever formed, for many moduli at once.  Nothing cancels,
+so no factorial is ever formed, for many moduli at once, and bounds only
+the (degree, modulus) entries its caller reads.  Nothing cancels,
 and the computed value v of p(n) obeys the written bound
 
     |v - exact| <= 4 N u v + 4 n eta,      N = n D,  provided N u <= 1/4,
 
 with u = 2**-53, eta = 2**-1074 the smallest subnormal, and D the number of
-divisors d <= n of m.  Why it holds:
+divisors d <= n of m, or any larger count.  Why it holds:
 
 * Rounding.  A step adds at most D non-negative terms, in any order, and
   divides by k, so each term passes through at most D roundings.  Unrolled,
@@ -251,8 +252,8 @@ def prop_alternating(n: int, m: int) -> Fraction:
 
 UNIT_ROUNDOFF = 2.0**-53
 SMALLEST_SUBNORMAL = 2.0**-1074
-# columns per block of filter_then_exact: bounds each enclosure array at
-# (upto + 1) * ENCLOSURE_COLUMNS floats per modulus of a column
+# columns per block of filter_then_exact: bounds the one float table of
+# prop_enclosure at (upto + 1) * ENCLOSURE_COLUMNS floats per modulus of a column
 ENCLOSURE_COLUMNS = 1024
 
 
@@ -266,44 +267,41 @@ def float_error(values: np.ndarray, depth: np.ndarray, terms: np.ndarray) -> np.
     return 4 * UNIT_ROUNDOFF * (depth * terms) * values + 4 * SMALLEST_SUBNORMAL * depth
 
 
-def _float_rows(moduli: Sequence[int], upto: int) -> tuple[np.ndarray, np.ndarray]:
-    """Computed p(k) at [k, i] for modulus moduli[i], k <= upto, and the
-    number of divisors d <= upto of each modulus.
+def prop_enclosure(moduli: Sequence[int], degrees: np.ndarray,
+                   columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 arrays lo, hi with lo[r] <= P(degrees[r], moduli[columns[r]])
+    <= hi[r], certified, for each read r.
 
-    Step k gathers the (divisor, column) pairs with d <= k, a prefix of the
-    pairs sorted by divisor, and sums them per column with one bincount.
+    One float table p(k) at [k, i], k up to the top degree read, serves every
+    column: step k sums the (divisor, column) pairs with d <= k, a prefix of
+    the pairs sorted by divisor, with one bincount.  Only the reads are
+    bounded (module docstring), D counting divisors up to the top degree.
     """
+    upto = int(degrees.max(initial=0))
+    if degrees.min(initial=0) < 0 or any(m < 1 for m in moduli):
+        raise ValueError("need degrees >= 0 and positive moduli")
     width = len(moduli)
     divs = [_divisors_upto(m, upto) for m in moduli]
     terms = np.array([len(ds) for ds in divs], dtype=np.int64)
+    if upto * int(terms.max(initial=0)) * UNIT_ROUNDOFF > 0.25:
+        raise ValueError("rows too deep for the written float bound")
     d = np.fromiter(chain.from_iterable(divs), np.int64, int(terms.sum()))
     col = np.repeat(np.arange(width), terms)
     order = np.argsort(d, kind="stable")
     d, col = d[order], col[order]
     active = np.searchsorted(d, np.arange(upto + 1), side="right")
-    back = col - d * width  # entry [k - d, col] of a row-major array sits at k*width + back
+    back = col - d * width  # entry [k - d, col] of a row-major table sits at k*width + back
     table = np.zeros((upto + 1, width))
     table[0] = 1.0
     flat = table.reshape(-1)
-    for k in range(1, upto + 1):
-        j = active[k]
+    for k, j in enumerate(active.tolist()[1:], 1):
         table[k] = np.bincount(col[:j], flat[k * width + back[:j]], width) / k
-    return table, terms
-
-
-def prop_enclosure(moduli: Sequence[int], upto: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 arrays lo, hi with lo <= P(k, m) <= hi, certified.
-
-    Entry [k, i] belongs to degree k <= upto and modulus moduli[i].  The
-    error bound is the one written in the module docstring.
-    """
-    if upto < 0 or any(m < 1 for m in moduli):
-        raise ValueError("need upto >= 0 and positive moduli")
-    values, terms = _float_rows(moduli, upto)
-    if upto * int(terms.max(initial=0)) * UNIT_ROUNDOFF > 0.25:
-        raise ValueError("rows too deep for the written float bound")
-    err = float_error(values, np.arange(upto + 1)[:, None], terms)
-    return np.nextafter(values - err, -np.inf), np.nextafter(values + err, np.inf)
+    values = table[degrees, columns]
+    del table, flat  # the reads are all that is kept
+    err = float_error(values, degrees, terms[columns])
+    lo = values - err
+    values += err
+    return np.nextafter(lo, -np.inf, out=lo), np.nextafter(values, np.inf, out=values)
 
 
 Column = TypeVar("Column")
@@ -321,11 +319,11 @@ def filter_then_exact(
     """The failing reports of a sweep over ``cells`` cells, float filter first.
 
     This is the one place where open cells meet their exact reports.
-    ``open_cells`` encloses a block of at most ENCLOSURE_COLUMNS columns with
-    :func:`prop_enclosure` and yields the cells it cannot pass.  The open
-    cells of every block, in the order named, go to one ``exact`` call,
-    which returns one report per cell in the same order.  One :func:`note`
-    gives the count of each.
+    ``open_cells`` encloses the cells of a block of at most ENCLOSURE_COLUMNS
+    columns, and no other entry, with one :func:`prop_enclosure` call and
+    yields the cells it cannot pass.  The open cells of every block, in the
+    order named, go to one ``exact`` call, which returns one report per cell
+    in the same order.  One :func:`note` gives the count of each.
     """
     sent = [cell for start in range(0, len(columns), ENCLOSURE_COLUMNS)
             for cell in open_cells(columns[start : start + ENCLOSURE_COLUMNS])]

@@ -355,22 +355,21 @@ def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
 def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[CaseSpec]:
     """The specs of one family whose degrees the float filter cannot pass.
 
-    P(B) is enclosed in S_n from its terms (see :func:`_b_moduli`).  Its
-    upper end hi_B is that of the first term, less the lower end of the
-    second when there is one, rounded up; in A_n it is doubled, which is
-    exact in float64, as P_{A_n}(B) <= 2 P_{S_n}(B) for every event B (A_n
-    holds half of S_n).  As hi_B >= P(B) >= P(A) > 0 in the computation
-    group, the rational P(A)/hi_B is at most P(A | B), and both floors only
-    get easier as the conditional grows, so a degree passes when
-    :func:`_floors_hold` holds for P(A)/hi_B.
+    P(B) is enclosed in S_n from its terms (see :func:`_b_moduli`), one
+    read per term at the spec's degree.  Its upper end hi_B is that of the
+    first term, less the lower end of the second when there is one, rounded
+    up; in A_n it is doubled, which is exact in float64, as P_{A_n}(B) <=
+    2 P_{S_n}(B) for every event B (A_n holds half of S_n).  As hi_B >= P(B)
+    >= P(A) > 0 in the computation group, the rational P(A)/hi_B is at most
+    P(A | B), and both floors only get easier as the conditional grows, so
+    a degree passes when :func:`_floors_hold` holds for P(A)/hi_B.
     """
     terms = list(zip(*map(_b_moduli, specs)))  # terms[j][i]: term j of P(B) at specs[i]
-    ns = np.array([spec.n for spec in specs])
-    lo, hi = prop_enclosure([m for col in terms for m in col], int(ns.max()))
-    cols = np.arange(len(specs))
-    hi_b = hi[ns, cols]
+    degrees = np.tile([spec.n for spec in specs], len(terms))  # read j*len(specs) + i
+    lo, hi = prop_enclosure([m for col in terms for m in col], degrees, np.arange(len(degrees)))
+    hi_b = hi[: len(specs)]
     if len(terms) > 1:
-        hi_b = np.nextafter(hi_b - lo[ns, cols + len(specs)], np.inf)
+        hi_b = np.nextafter(hi_b - lo[len(specs) :], np.inf)
     if specs[0].calc_group == "A":
         hi_b = 2 * hi_b
     for spec, ceiling in zip(specs, hi_b.tolist()):

@@ -2,12 +2,13 @@
 
 The enclosures of ``prop_enclosure`` are checked against exact Fractions
 from ``ProportionTable``; the filtered sweeps are checked against the exact
-sweeps they replace, with the written error bound as is and inflated so
-that every cell falls back to exact arithmetic.
+sweeps they replace, with the written error bound as is and made infinite
+or NaN so that every cell falls back to exact arithmetic.
 """
 
 import contextlib
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,13 @@ from symprop.recognition import admissible_degrees, case_params, cond_probs, swe
 PRIMES = [p for p in range(2, 1200) if all(p % q for q in range(2, int(p**0.5) + 1))]
 
 
+def _columns(moduli, n):
+    """lo, hi at [k, i] for k <= n: every degree of every column read."""
+    degrees, columns = np.indices((n + 1, len(moduli))).reshape(2, -1)
+    lo, hi = prop_enclosure(moduli, degrees, columns)
+    return lo.reshape(n + 1, -1), hi.reshape(n + 1, -1)
+
+
 @st.composite
 def rows(draw):
     """A degree n <= 250 and a modulus in [n-1, 3n] or a prime above n."""
@@ -44,7 +52,7 @@ def rows(draw):
 def test_enclosure_holds_the_exact_value(row):
     n, m = row
     table = ProportionTable()
-    lo, hi = prop_enclosure([m], n)
+    lo, hi = _columns([m], n)
     for k in range(2, n + 1):
         exact = table.prop(k, m)
         low, high = lo[k, 0].item(), hi[k, 0].item()
@@ -62,7 +70,7 @@ def test_enclosure_holds_the_exact_value(row):
 def test_enclosure_past_the_underflow():
     # 1/n! underflows past n = 170 when m is a prime above n
     table = ProportionTable()
-    lo, hi = prop_enclosure([1201, 4, 360], 250)
+    lo, hi = _columns([1201, 4, 360], 250)
     assert lo[250, 0] <= 0 < hi[250, 0]
     assert lo[250, 0].item() <= table.prop(250, 1201) <= hi[250, 0].item()
     assert lo[250, 2].item() <= table.prop(250, 360) <= hi[250, 2].item()
@@ -72,9 +80,25 @@ def test_enclosure_at_a_tier_a_degree():
     # family 9 at n = 7321 (r = 7315) reads m = 3r and m = r in S_n, far
     # beyond the degrees of the property test above
     n, r = 7321, 7315
-    lo, hi = prop_enclosure([3 * r, r], n)
+    lo, hi = _columns([3 * r, r], n)
     for i, m in enumerate((3 * r, r)):
         assert lo[n, i].item() <= prop_order_dividing(n, m) <= hi[n, i].item(), m
+
+
+def test_enclosure_holds_only_the_float_table_and_the_reads():
+    # one read per column of a full block to degree 2,000: the float table
+    # of 2,001 x 1,024 entries (16 MB) is the one block-sized array
+    width, n = proportions.ENCLOSURE_COLUMNS, 2000
+    degrees = np.full(width, n)
+    table = (n + 1) * width * 8
+    tracemalloc.start()
+    try:
+        lo, hi = prop_enclosure(list(range(n, n + width)), degrees, np.arange(width))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lo.shape == hi.shape == (width,) and (lo <= hi).all()
+    assert peak < 1.5 * table, peak
 
 
 def _run(argv):
@@ -169,12 +193,13 @@ def test_theorem2_open_degrees_are_pinned(case, hi, want):
     assert [spec.n for spec in recognition._open_degrees(specs)] == want
 
 
+@pytest.mark.parametrize("error", [np.inf, np.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("argv", [THM1, THM2], ids=" ".join)
-def test_inflated_bound_sends_every_cell_to_exact(argv, monkeypatch):
+def test_inflated_bound_sends_every_cell_to_exact(argv, error, monkeypatch):
     status, out, err = _run(argv)
     filtered, exact = _counts(err)
-    # a bound so large that the filter decides nothing
-    monkeypatch.setattr(proportions, "float_error", lambda values, depth, terms: np.inf)
+    # a bound so large, or so undefined, that the filter decides nothing
+    monkeypatch.setattr(proportions, "float_error", lambda values, depth, terms: error)
     status_exact, out_exact, err_exact = _run(argv)
     assert (status_exact, out_exact) == (status, out)
     assert _counts(err_exact) == (0, filtered + exact)
