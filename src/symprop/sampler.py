@@ -9,21 +9,30 @@ target t, trials T and successes s, the check is
 
     (s - t*T)**2  <=  k**2 * t * (1 - t) * T,
 
-so no floating-point comparison can blur a verdict.  Alternating-group
-sampling rejects odd permutations, costing an expected factor 2.
+so no floating-point comparison can blur a verdict.
 
-Permutations are drawn in batches sized by points, not rows: a batch
-holds max(1, POINTS // n) rows of n points, so its arrays stay in cache
-and memory is bounded by about max(POINTS, n) points whatever the trials
+A draw is a shuffled word w of 0..n-1, read as a permutation by Foata's
+fundamental bijection (Stanley, Enumerative Combinatorics I, 2nd ed.,
+Prop. 1.3.1): cut w before each left-to-right maximum and close each
+piece into a cycle.  The bijection maps uniform words to uniform
+permutations, and one pass over a row finds its cycles.  In A_n an odd
+row is read again with the values n-2 and n-1 swapped.  That swap
+toggles whether n-2 is a left-to-right maximum, so it changes the cycle
+count by one and flips the parity, and it is an involution; each even
+permutation (n >= 2) is thus reached from exactly two words, and A_n
+costs one row per draw, as S_n does.
+
+Words are drawn in batches sized by points, not rows: a batch holds
+max(1, POINTS // n) rows of n points, so its arrays stay in cache and
+memory is bounded by about max(POINTS, n) points whatever the trials
 and the degree.  Row i of one rng.permuted call is the i-th successive
-permutation, so no count depends on where the stream is cut.
+shuffle, so no count depends on where the stream is cut.
 
 Every event is read off the length of the cycle through each point of
-a batch: pointer doubling gives each point its cycle's minimum in
-ceil(log2(n)) steps, and one bincount over the minima sizes the cycles.
-On a d-cycle g**e has order d/gcd(d, e), so g**m = 1 and event B are
-each a lookup of the lengths in a table over d <= n; event A compares
-a row's sorted lengths with the target type.
+a batch, the gap between the two left-to-right maxima around it.  On a
+d-cycle g**e has order d/gcd(d, e), so g**m = 1 and event B are each a
+lookup of the lengths in a table over d <= n; event A compares a row's
+sorted lengths with the target type.
 """
 
 from __future__ import annotations
@@ -123,21 +132,23 @@ class SearchStats:
         return _within_sigma(self.successes, self.b_hits, self.target_cond)
 
 
-def _cycle_lengths(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point cycle lengths and row evenness of a (count, n) batch.
+def _cycle_lengths(words: np.ndarray, group: str = "S") -> tuple[np.ndarray, np.ndarray]:
+    """Cycle lengths and row evenness of the Foata images of a (count, n) batch.
 
-    Point j of row i is numbered i*n + j, so each cycle's minimum labels
-    it across the batch, and a row's cycle count is its number of minima.
+    A cycle starts at each left-to-right maximum of a word and runs to the
+    next one, so entry (i, j) is the length of the cycle through the point
+    words[i, j].  Position 0 starts every row, so no cycle spans two rows.
+    With group "A" each odd row is read again with n-2 and n-1 swapped.
     """
-    count, n = perms.shape
-    hop = (perms + (np.arange(count) * n)[:, None]).ravel()
-    mins = np.arange(count * n)
-    for _ in range(max(1, (n - 1).bit_length())):
-        np.minimum(mins, mins[hop], out=mins)
-        hop = hop[hop]
-    lengths = np.bincount(mins, minlength=count * n)[mins].reshape(count, n)
-    cycles = (mins == np.arange(count * n)).reshape(count, n).sum(axis=1)
-    return lengths, (n - cycles) % 2 == 0
+    count, n = words.shape
+    starts = words == np.maximum.accumulate(words, axis=1)
+    sizes = np.diff(np.flatnonzero(starts), append=count * n)
+    lengths = np.repeat(sizes, sizes).reshape(count, n)
+    even = (n - starts.sum(axis=1)) % 2 == 0
+    if group == "A" and not even.all():
+        odd = words[~even]
+        lengths[~even], even[~even] = _cycle_lengths(np.where(odd >= n - 2, 2 * n - 3 - odd, odd))
+    return lengths, even
 
 
 POINTS = 1 << 15  # points per batch: max(1, POINTS // n) rows of n points
@@ -148,20 +159,16 @@ def _sample_batches(
 ) -> Iterator[np.ndarray]:
     """Yield cycle lengths of batches totalling `trials` (may be inf) draws.
 
-    A_n rejects odd rows.  Row i of one rng.permuted call is the draw
-    the i-th of successive rng.permutation(n) calls would make.
+    Every draw is one row of one rng.permuted call, in S_n and A_n alike:
+    row i is the word the i-th of successive rng.permutation(n) calls
+    would make, and the draw is its Foata image (evened in A_n).
     """
     rng = np.random.default_rng(seed)  # a Generator is used as it is
     need = trials
     while need > 0:
-        take = min(max(1, POINTS // n), need if group == "S" else 2 * need)
-        lengths, even = _cycle_lengths(rng.permuted(np.tile(np.arange(n), (take, 1)), axis=1))
-        if group == "A":
-            lengths = lengths[even]
-        if len(lengths) > need:
-            lengths = lengths[:need]
-        need -= len(lengths)
-        yield lengths
+        take = min(max(1, POINTS // n), need)
+        need -= take
+        yield _cycle_lengths(rng.permuted(np.tile(np.arange(n), (take, 1)), axis=1), group)[0]
 
 
 def _event_mask(spec: CaseSpec, event: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -252,10 +259,11 @@ def search_cost_sim(
     episodes, with 1/prob_A as the exact mean target and the exact
     conditional as the b_hits target.
 
-    Draws come a batch of max(1, POINTS // n) rows at a time but are
-    counted one by one up to the last hit, so a Generator passed as
-    `seed` ends up advanced past the last draw counted by less than one
-    batch: fewer than max(1, POINTS // n) rows.
+    Draws come a batch of max(1, POINTS // n) rows at a time, one row per
+    draw in S_n and A_n alike, but are counted one by one up to the last
+    hit, so a Generator passed as `seed` ends up advanced past the last
+    draw counted by less than one batch: fewer than max(1, POINTS // n)
+    rows.
     """
     spec = case_params(case_id, n)
     if episodes < 1:

@@ -97,6 +97,20 @@ def _cycle_parts_of_mapping(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(parts))
 
 
+def foata_cycles(word: list[int] | tuple[int, ...]) -> list[list[int]]:
+    """The cycles of the permutation a word of 0..n-1 stands for under
+    Foata's fundamental bijection (Stanley, Enumerative Combinatorics I,
+    2nd ed., Prop. 1.3.1): the word is cut before each left-to-right
+    maximum, and a piece c_0 c_1 ... c_k is the cycle c_0 -> c_1 -> ...
+    -> c_k -> c_0.  Every permutation comes from exactly one word."""
+    cycles: list[list[int]] = []
+    for point in word:
+        if not cycles or point > cycles[-1][0]:
+            cycles.append([])
+        cycles[-1].append(point)
+    return cycles
+
+
 @lru_cache(maxsize=None)
 def _sym_type_census(n: int) -> dict[tuple[int, ...], int]:
     """Cycle-type counts of S_n by full enumeration.  Keep n small."""

@@ -34,6 +34,15 @@ record exit 2 (argparse rejects the unknown flag) with empty stdout.  The
 ``verify-shat --full --format json`` entry was captured before that
 change, from the single-process run.
 
+A third deliberate edit: the 27 seeded ``sample`` and ``search-sim``
+entries (nine argv lists, three formats each) were rewritten by hand when
+the sampler began to read each shuffled word as its Foata image and to
+even the odd words of A_n instead of rejecting them.  Every draw is still
+exactly uniform, but a seed now yields other permutations.  Old and new
+stdout differ only in sampled fields (successes, the estimate, its std
+error, draws, power-test hits, the mean and the observed acceptance);
+every status, target and 4-sigma verdict is unchanged.
+
 The last four ``_SINGLE`` entries (a signed ``prop``, an ``alt-prop``, a
 ``split`` and the family-10 ``verify-thm2`` csv that holds the exact FAILs
 at n = 37 and n = 85) were captured before the exact row kernel of

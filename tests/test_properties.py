@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_prop, power_order
+from oracles import brute_force_prop, foata_cycles, power_order
 from symprop.bounds import _capped_sums, _listed_pairs, _relaxed_sums
 from symprop.divisors import (
     check_quadratic_divisor_sum,
@@ -191,32 +191,44 @@ def _walk_cycles(perm: list[int]) -> list[list[int]]:
     return cycles
 
 
-perm_batches = st.integers(1, 40).flatmap(
+def _foata_image(word: list[int]) -> list[int]:
+    """The permutation, as a list of images, whose cycles foata_cycles reads off."""
+    perm = [0] * len(word)
+    for cycle in foata_cycles(word):
+        for point, image in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[point] = image
+    return perm
+
+
+word_batches = st.integers(1, 40).flatmap(
     lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=6)
 )
 
 
-@given(perms=perm_batches)
+@given(words=word_batches)
 @settings(deadline=None, max_examples=150)
-def test_cycle_lengths_match_a_cycle_walk(perms):
-    lengths, even = _cycle_lengths(np.array(perms))
-    for row, perm, row_even in zip(lengths, perms, even):
-        cycles = _walk_cycles(perm)
-        expect = [0] * len(perm)
+def test_cycle_lengths_match_a_cycle_walk(words):
+    # entry (i, j) is the length of the cycle through words[i][j] in the
+    # Foata image of row i, here found by walking that image point by point
+    lengths, even = _cycle_lengths(np.array(words))
+    for row, word, row_even in zip(lengths, words, even):
+        cycles = _walk_cycles(_foata_image(word))
+        assert sorted(map(sorted, cycles)) == sorted(map(sorted, foata_cycles(word)))
+        expect = [0] * len(word)
         for cycle in cycles:
             for point in cycle:
                 expect[point] = len(cycle)
-        assert row.tolist() == expect
+        assert row.tolist() == [expect[point] for point in word]
         # even iff n minus the number of cycles is even
-        assert bool(row_even) == ((len(perm) - len(cycles)) % 2 == 0)
+        assert bool(row_even) == ((len(word) - len(cycles)) % 2 == 0)
 
 
-@given(perms=perm_batches, r=st.integers(1, 40), s=st.sampled_from((1, 2, 3)))
+@given(words=word_batches, r=st.integers(1, 40), s=st.sampled_from((1, 2, 3)))
 @settings(deadline=None, max_examples=150)
-def test_event_masks_match_cycle_types(perms, r, s):
-    types = [tuple(sorted(map(len, _walk_cycles(p)))) for p in perms]
-    spec = CaseSpec(0, len(perms[0]), r, types[0], s)
-    lengths, _ = _cycle_lengths(np.array(perms))
+def test_event_masks_match_cycle_types(words, r, s):
+    types = [tuple(sorted(map(len, foata_cycles(w)))) for w in words]
+    spec = CaseSpec(0, len(words[0]), r, types[0], s)
+    lengths, _ = _cycle_lengths(np.array(words))
     assert _event_mask(spec, "A")(lengths).tolist() == [t == types[0] for t in types]
     assert _event_mask(spec, "B")(lengths).tolist() == [power_order(t, r) == s for t in types]
 

@@ -1,17 +1,20 @@
 import hashlib
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from oracles import iter_partitions, prob_A_centralizer
+from oracles import _sym_type_census, iter_partitions, prob_A_centralizer
 from symprop.recognition import admissible_degrees, case_params, cond_prob, prob_A, prob_B
 from symprop import sampler
 from symprop.sampler import (
     POINTS,
     SampleStats,
     SearchStats,
+    _cycle_lengths,
     _sample_batches,
     estimate_case_event,
     estimate_order_divides,
@@ -42,7 +45,7 @@ def test_seeded_results_digest():
                      f"{st.mean_within_sigma()} {st.cond_within_sigma()}")
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "83b4353fd19abe81cedd9170256b7c3940a237d16af935b6cef69122619f618b")
+        "d2355cb3b4d5b826b7b458536ae7398c4963deb8db1b9cfcb2827b611663ea06")
 
 
 def test_type_census_matches_class_sizes():
@@ -54,6 +57,40 @@ def test_type_census_matches_class_sizes():
         hits = int((lengths == np.sort(np.repeat(parts, parts))).all(axis=1).sum())
         stats = SampleStats(trials, hits, prob_A_centralizer(parts, "S"))
         assert stats.within_sigma(), parts
+
+
+def _type_counts(lengths: np.ndarray) -> Counter:
+    # a row of per-point lengths holds each d-cycle as d entries equal to d
+    counts: Counter = Counter()
+    for row in lengths.tolist():
+        parts = [d for d, k in Counter(row).items() for _ in range(k // d)]
+        counts[tuple(sorted(parts))] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_word_gives_each_type_its_class_size(n):
+    # all n! words: the S_n kernel gives each cycle type its class size,
+    # and the A_n kernel each even type twice its class size (A_1 = S_1)
+    # and no odd type
+    words = np.array(list(permutations(range(n))))
+    census = _sym_type_census(n)
+    assert _type_counts(_cycle_lengths(words)[0]) == census
+    lengths, even = _cycle_lengths(words, "A")
+    assert even.all()
+    share = 2 if n > 1 else 1
+    assert _type_counts(lengths) == {
+        parts: share * count for parts, count in census.items() if (n - len(parts)) % 2 == 0}
+
+
+def test_alternating_draws_take_one_row_per_trial():
+    # A_n evens its odd rows rather than rejecting them, so for the same
+    # trials it leaves the Generator where S_n does
+    rngs = {group: np.random.default_rng(31) for group in "SA"}
+    for group, rng in rngs.items():
+        estimate_order_divides(9, 12, 5_000, seed=rng, group=group)
+    assert rngs["A"].bit_generator.state == rngs["S"].bit_generator.state
+    assert rngs["S"].bit_generator.state != np.random.default_rng(31).bit_generator.state
 
 
 def test_estimate_order_divides_anchor(table):
