@@ -38,7 +38,6 @@ __all__ = [
     "gamma_value",
     "is_prime",
     "COUNT_BOUNDS",
-    "CUBE_CONSTANTS",
     "C0_CUBED",
     "applicable_variants",
     "check_divisor_count_bound",
@@ -212,8 +211,7 @@ COUNT_BOUNDS: dict[str, tuple[int, Fraction, Callable]] = {
     "odd-no9": (3, Fraction(512, 105), lambda n: (n % 2 == 1) & (n % 9 != 0)),
     "c0": (3, Fraction(768, 35), lambda n: n > 0),
 }
-CUBE_CONSTANTS = {v: c_k for v, (k, c_k, _) in COUNT_BOUNDS.items() if k == 3}
-C0_CUBED = CUBE_CONSTANTS["c0"]
+C0_CUBED = COUNT_BOUNDS["c0"][1]
 
 
 def applicable_variants(n: int) -> tuple[str, ...]:

@@ -8,27 +8,28 @@ recursion
     P(n, m) = (1/n) * sum_{d | m, d <= n} P(n - d, m),      P(0, m) = 1,
 
 because a cycle of length d through the point can be completed in
-(n-1)!/(n-d)! ways.  Splitting S_k into its even and odd permutations, with
-shares e(k) + o(k) = P(k, m), e(0) = 1, o(0) = 0, gives
+(n-1)!/(n-d)! ways.  A d-cycle has sign (-1)^(d-1), and the sign is
+multiplicative over cycles, so the signed proportion s(n, m), each
+permutation weighted by its sign, obeys the same recursion with that sign
+on each term:
 
-    e(k) = (sum_{d odd} e(k-d) + sum_{d even} o(k-d)) / k,
-    o(k) = (sum_{d odd} o(k-d) + sum_{d even} e(k-d)) / k,
+    s(n, m) = (1/n) * sum_{d | m, d <= n} (-1)^(d-1) s(n - d, m),   s(0, m) = 1.
 
-since the rest of a permutation whose cycle through the point has length d
-has the same parity iff d is odd.  The proportion inside A_k is 2 e(k)
-(k >= 2), and the signed proportion, each permutation weighted by its sign,
-is e(k) - o(k).  Every term of both recursions is non-negative.  The e/o
-shares serve only the exact rows; no float code computes them.
+For odd m every term is positive and s = P.  The proportion inside A_n
+(n >= 2) is P + s, as 1 + sign(g) is 2 on the even permutations and 0 on
+the odd ones.  The signed recursion cancels, so no float code runs it; it
+serves only the exact rows.
 
-:class:`ProportionTable` is exact.  It runs the recursions on integers
-scaled by L!, for the last degree L of a row: F(j) = L! P(j, m) and
-E(j) = L! e(j).  Each step is a sum of at most D big integers, D the number
-of divisors d <= j of m, and one division by the small integer j, which is
-exact because j F(j) = L! j P(j, m) is the sum and F(j) = (L!/j!) j! P(j, m)
-is an integer (j! P(j, m) counts permutations).  A Fraction is formed only
-at query time.
+:class:`ProportionTable` is exact.  It runs either recursion on integers
+scaled by L!, for the last degree L of a row: F(j) = L! P(j, m) or
+G(j) = L! s(j, m).  Each step is a sum of at most D big integers, D the
+number of divisors d <= j of m, and one division by the small integer j,
+which is exact because j F(j) = L! j P(j, m) is the sum and
+F(j) = (L!/j!) j! P(j, m) is an integer (j! P(j, m) counts permutations);
+likewise j! s(j, m) is the count of even permutations less the count of
+odd ones.  A Fraction is formed only at query time.
 
-:func:`prop_enclosure` runs the first recursion in float64, on proportions,
+:func:`prop_enclosure` runs the plain recursion in float64, on proportions,
 so no factorial is ever formed, for many moduli at once, and bounds only
 the (degree, modulus) entries its caller reads.  Nothing cancels,
 and the computed value v of p(n) obeys the written bound
@@ -118,85 +119,66 @@ def _offset_sum(offsets: list[int]) -> Callable[[list[int]], int]:
 
 
 class ProportionTable:
-    """Exact rows of the recursion, scaled by a factorial; one row kept.
+    """Exact rows of the recursions, scaled by a factorial; one row kept.
 
-    The row for modulus m holds the integers F(j) = L! * P(j, m) for
-    0 <= j <= L, L being its last degree:
+    The row for modulus m and a sign flag holds, for 0 <= j <= L, L being
+    its last degree, the integers F(j) = L! * P(j, m) of a plain row, or
+    G(j) = L! * s(j, m) of a signed one:
 
-        F(0) = L!,      F(j) = (sum_{d | m, d <= j} F(j - d)) // j.
+        F(0) = L!,      F(j) = (sum_{d | m, d <= j} F(j - d)) // j,
+        G(0) = L!,      G(j) = (sum_{d odd} G(j - d) - sum_{d even} G(j - d)) // j.
 
-    The division is exact: the sum is L! * j * P(j, m) = j * F(j), and
+    The division is exact: the sum is j * F(j) (or j * G(j)), and
     F(j) = (L!/j!) * C(j) is an integer, C(j) = j! P(j, m) being a count of
-    permutations.  A step costs one big-integer addition per divisor and one
-    division by the small integer j.  A parity row adds the even share
-    E(j) = L! e(j) of the module docstring; with the odd share O = F - E,
+    permutations; G(j) likewise, j! s(j, m) being the even count less the
+    odd one.  A step costs one big-integer addition per divisor and one
+    division by the small integer j.
 
-        E(j) = (sum_{d odd} E(j - d) + sum_{d even} O(j - d)) // j,
+    Only the row built last is kept, keyed by (m, signed), up to the degree
+    L of the request that built it.  For odd m the two rows agree, so the
+    key folds signed to False.  Any request the kept row does not cover
+    replaces it with a row built to that request's degree, so a caller that
+    reads one modulus and sign at several degrees first calls ``ensure`` at
+    the top one.  The exact theorem-2 path does so: each modulus gets one
+    table, whose plain row, built once to the highest degree read, serves
+    every family and degree that reads that modulus, followed by a signed
+    row when an A_n family reads it (see :func:`symprop.recognition.cond_probs`).
 
-    exact for the same reason, and the signed value is (E - O)/L! = (2E - F)/L!.
-
-    Only the row built last is kept, for one (m, parity) pair, up to the
-    degree L of the request that built it.  A parity row also answers plain
-    queries, and for odd m a plain row serves signed queries too, as every
-    permutation whose order divides m is even.  Any request the kept row
-    does not cover replaces it with a row built to that request's degree,
-    so a caller that reads one modulus at several degrees first calls
-    ``ensure`` at the top one.  The exact theorem-2 path does so: each
-    modulus gets one table, and its row, built once to the highest degree
-    read, serves every family and degree that reads that modulus, in S_n
-    and in A_n (see :func:`symprop.recognition.cond_probs`).
-
-    ``prop`` forms one Fraction F(n)/L!.  ``count`` divides F(n) by L!/n!,
-    which it derives from the last degree it read, so reads in ascending
-    (or descending) order cost one small factor each.
+    ``prop`` forms one Fraction, the row's entry at n over L!.  ``count``,
+    which only the tests and the benchmark's tracer reach, divides that
+    entry by L!/n!, which it derives from the last degree it read, so reads
+    in ascending (or descending) order cost one small factor each.
     """
 
     def __init__(self) -> None:
-        self._m = 0  # modulus of the kept row; 0 while there is none
-        self._parity = False
+        self._key = (0, False)  # (m, signed) of the kept row; m = 0 while there is none
         self._scale = 1  # L!, L being the last degree of the kept row
-        self._rows: list[list[int]] = []  # [F], or [F, E] for a parity row
+        self._row: list[int] = []
         self._down = (0, 1)  # (k, L!/k!) for the last degree k read by count
 
-    def _build(self, m: int, parity: bool, upto: int) -> None:
-        """Keep a row that covers degree upto for m, building it if need be."""
+    def _build(self, m: int, signed: bool, upto: int) -> None:
+        """Keep a row that covers degree upto for (m, signed), building it if need be."""
         if m < 1:
             raise ValueError("m must be positive")
-        parity = parity and m % 2 == 0  # an odd m admits only even permutations
-        if m == self._m and upto < len(self._rows[0]) and (self._parity or not parity):
+        key = (m, signed and m % 2 == 0)  # an odd m admits only even permutations
+        if key == self._key and upto < len(self._row):
             return
         scale = factorial(upto)
-        self._m, self._parity, self._scale, self._down = m, parity, scale, (upto, 1)
-        self._rows = [[scale], [scale]] if parity else [[scale]]
-        # F(j - d) is f[-d] while f has j entries; the divisors d <= j only
-        # change at j = d, so each stretch of degrees between two divisors
-        # sums over one fixed list of offsets
+        self._key, self._scale, self._down = key, scale, (upto, 1)
+        row = self._row = [scale]
+        # row[j - d] is row[-d] while row has j entries; the divisors d <= j
+        # only change at j = d, so each stretch of degrees between two
+        # divisors sums over fixed lists of offsets, the even d of a signed
+        # row subtracted
         divs = _divisors_upto(m, upto)
         ends = divs[1:] + (upto + 1,)
-        if parity:
-            f, e = self._rows
-            odd: list[int] = []
-            even: list[int] = []
-            for d, end in zip(divs, ends):
-                (odd if d % 2 else even).append(-d)
-                at_odd, at_even = _offset_sum(odd), _offset_sum(even)
-                for j in range(d, end):
-                    flip = at_even(f)
-                    e.append((at_odd(e) - at_even(e) + flip) // j)
-                    f.append((at_odd(f) + flip) // j)
-        else:
-            (f,) = self._rows
-            back: list[int] = []
-            for d, end in zip(divs, ends):
-                back.append(-d)
-                total = _offset_sum(back)
-                for j in range(d, end):
-                    f.append(total(f) // j)
-
-    def _value(self, n: int, signed: bool) -> int:
-        """L! times the (signed) proportion at degree n, off the kept rows."""
-        f = self._rows[0][n]
-        return 2 * self._rows[1][n] - f if signed and self._parity else f
+        plus: list[int] = []
+        minus: list[int] = []
+        for d, end in zip(divs, ends):
+            (minus if key[1] and d % 2 == 0 else plus).append(-d)
+            at_plus, at_minus = _offset_sum(plus), _offset_sum(minus)
+            for j in range(d, end):
+                row.append((at_plus(row) - at_minus(row)) // j)
 
     def count(self, n: int, m: int, signed: bool = False) -> int:
         """The weighted count C(n) itself (n! times the proportion)."""
@@ -209,7 +191,7 @@ class ProportionTable:
         k, q = self._down
         q = q // prod(range(k + 1, n + 1)) if n >= k else q * prod(range(n + 1, k + 1))
         self._down = (n, q)
-        return self._value(n, signed) // q
+        return self._row[n] // q
 
     def prop(self, n: int, m: int, signed: bool = False) -> Fraction:
         if m < 1:
@@ -219,7 +201,7 @@ class ProportionTable:
         if n == 0:
             return Fraction(1)
         self._build(m, signed, n)
-        return Fraction(self._value(n, signed), self._scale)
+        return Fraction(self._row[n], self._scale)
 
     def ensure(self, m: int, upto: int, signed: bool = False) -> None:
         self._build(m, signed, max(upto, 0))
@@ -238,14 +220,15 @@ def prop_order_dividing_signed(n: int, m: int) -> Fraction:
 def prop_alternating(n: int, m: int) -> Fraction:
     """Proportion of A_n whose element orders divide m; needs n >= 2.
 
-    Averaging 1 + sign(g) over S_n keeps exactly the even permutations,
-    at twice their weight: the plain and signed counts add up to twice the
-    even count, n! * 2 e(n), read off one parity row.
+    Averaging 1 + sign(g) over S_n keeps exactly the even permutations, at
+    twice their weight, so the A_n proportion is the plain one plus the
+    signed one.  The signed row replaces the plain one on the table, so one
+    row is held at a time.
     """
     if n < 2:
         raise ValueError("alternating-group proportion needs n >= 2")
     t = ProportionTable()
-    return Fraction(t.count(n, m, signed=True) + t.count(n, m), factorial(n))
+    return t.prop(n, m) + t.prop(n, m, signed=True)
 
 
 # --- float64 enclosures ------------------------------------------------------
@@ -389,7 +372,7 @@ def prop_split(n: int, m: int) -> SplitProportions:
         raise ValueError("m must be positive")
     t = ProportionTable()
     t.ensure(m, n - 3)  # every weight sits at s >= 3, so the parts read P(j, m), j <= n - 3
-    row, scale = t._rows[0], t._scale
+    row, scale = t._row, t._scale
     p1, p2, p3 = (sum(w * row[n - s] for s, w in enumerate(weights) if w)
                   for weights in _arrangement_weights(_divisors_upto(m, n), n))
     den = n * (n - 1) * (n - 2) * scale

@@ -33,7 +33,7 @@ For cases 6 to 9 the conditioning event B consists of even
 permutations only (every cycle length divides 3r, which is odd), so
 the conditional probability is the same whether computed in S_n or in
 A_n; those cases are computed in S_n.  Cases 4, 5 and 10 are computed
-in A_n, from the share of even permutations.
+in A_n, each proportion as the plain one plus the signed one.
 
 All probabilities are exact rationals.  Every exact conditional comes
 from :func:`cond_probs`, which evaluates a batch of degrees of any families
@@ -243,31 +243,29 @@ def _b_moduli(spec: CaseSpec) -> tuple[int, ...]:
 
 
 def _probs_B(specs: Sequence[CaseSpec]) -> list[Fraction]:
-    """Exact P(B) of every spec, one proportion row per distinct modulus.
+    """Exact P(B) of every spec, one proportion row per distinct modulus and sign.
 
     The moduli of all the specs' terms (see :func:`_b_moduli`) are visited
-    in ascending order.  Each gets one :class:`ProportionTable` row, built
-    once to the highest degree any spec reads from it, with parity when some
-    spec reads it in A_n; the table is dropped before the next modulus.  The
-    A_n value is the plain proportion plus the signed one, as in
-    :func:`~symprop.proportions.prop_alternating`.
+    in ascending order.  Each gets one :class:`ProportionTable`, whose plain
+    row is built once to the highest degree any spec reads from it.  When
+    some spec reads it in A_n, a signed row then replaces the plain one,
+    built once to the highest such degree, and each A_n term adds its
+    signed proportion, as in :func:`~symprop.proportions.prop_alternating`.
+    The table is dropped before the next modulus.
     """
     reads: dict[int, list[tuple[int, int]]] = defaultdict(list)  # m -> [(spec, term)]
-    terms = [list(_b_moduli(spec)) for spec in specs]  # each modulus, then its proportion
-    for i, moduli in enumerate(terms):
+    terms = [[0] * len(_b_moduli(spec)) for spec in specs]  # each term's proportion
+    for i, moduli in enumerate(map(_b_moduli, specs)):
         for j, m in enumerate(moduli):
             reads[m].append((i, j))
     for m in sorted(reads):
-        at = reads[m]
-        alternating = any(specs[i].calc_group == "A" for i, _ in at)
         table = ProportionTable()
-        table.ensure(m, max(specs[i].n for i, _ in at), signed=alternating)
-        for i, j in at:
-            n = specs[i].n
-            value = table.prop(n, m)
-            if specs[i].calc_group == "A":
-                value += table.prop(n, m, signed=True)
-            terms[i][j] = value
+        alternating = [(i, j) for i, j in reads[m] if specs[i].calc_group == "A"]
+        for signed, at in ((False, reads[m]), (True, alternating)):
+            if at:
+                table.ensure(m, max(specs[i].n for i, _ in at), signed=signed)
+            for i, j in at:
+                terms[i][j] += table.prop(specs[i].n, m, signed=signed)
     return [t[0] - sum(t[1:]) for t in terms]
 
 

@@ -19,7 +19,6 @@ from symprop import divisors as divisors_module
 from symprop.divisors import (
     C0_CUBED,
     COUNT_BOUNDS,
-    CUBE_CONSTANTS,
     applicable_variants,
     check_divisor_count_bound,
     check_quadratic_divisor_sum,
@@ -172,7 +171,7 @@ def test_cube_constant_encloses_c0():
     # of two pushed to exponent 7 instead of its peak at 3
     cube = (divisor_ratio_cube(2, 7) * divisor_ratio_cube(3, 2)
             * divisor_ratio_cube(5, 1) * divisor_ratio_cube(7, 1))
-    assert cube == C0_CUBED == CUBE_CONSTANTS["c0"] == Fraction(768, 35)
+    assert cube == C0_CUBED == Fraction(768, 35)
 
 
 # variant -> (k, exponents of 2 allowed, exponents of 3 allowed, published C**k)

@@ -248,7 +248,7 @@ _queries = st.lists(
 
 def _ask(table: ProportionTable, kind: str, n: int, m: int) -> Fraction | int:
     if kind == "alt":
-        # the parity-row read prop_alternating makes on its own table
+        # the plain and signed counts whose sum prop_alternating reads, on one table
         return Fraction(table.count(n, m, signed=True) + table.count(n, m), factorial(n))
     if kind.startswith("count"):
         return table.count(n, m, signed=kind == "count-signed")
@@ -259,7 +259,7 @@ def _ask(table: ProportionTable, kind: str, n: int, m: int) -> Fraction | int:
 @settings(max_examples=80, deadline=None)
 def test_table_answers_do_not_depend_on_query_order(queries):
     # one shared table sees reads below its kept degree, and rebuilds for
-    # a higher degree, another modulus or a parity row; each answer must
+    # a higher degree, another modulus or the other sign; each answer must
     # equal a fresh table's and the partition oracle's
     shared = ProportionTable()
     for kind, n, m in queries:

@@ -176,6 +176,23 @@ def test_brute_force_prop_guards():
         brute_force_prop(5, 3, mode="nonsense")
 
 
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_alternating_holds_one_row_at_a_time():
+    # the A_n proportion reads a plain row, then a signed row that replaces
+    # it, so it peaks near the S_n proportion's single row
+    alternating = _traced_peak(prop_alternating, 1500, 720)
+    plain = _traced_peak(prop_order_dividing, 1500, 720)
+    assert alternating <= 1.25 * plain, (alternating, plain)
+
+
 def test_one_table_keeps_one_row_over_theorem2_reads(table):
     # every row the ten families' theorem-2 sweeps read for n <= 250, on one
     # shared table: only the row built last is kept, so the peak stays near
@@ -191,9 +208,13 @@ def test_one_table_keeps_one_row_over_theorem2_reads(table):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MB"
-    # a read the kept row covers keeps it; any other replaces it
+    # a covered read of the same modulus and sign keeps the row; the other
+    # sign or another modulus replaces it
     table.prop(30, 12, signed=True)
+    row = table._row
+    table.prop(10, 12, signed=True)
+    assert table._row is row and len(row) == 31
     table.prop(10, 12)
-    assert [len(row) for row in table._rows] == [31, 31]
+    assert table._row is not row and len(table._row) == 11
     table.prop(20, 7)
-    assert [len(row) for row in table._rows] == [21]
+    assert table._key == (7, False) and len(table._row) == 21

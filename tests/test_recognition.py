@@ -139,18 +139,21 @@ def test_exact_csv_builds_each_modulus_row_once(monkeypatch):
     built = []
     build = ProportionTable._build
 
-    def counting(self, m, parity, upto):
-        rows = self._rows
-        build(self, m, parity, upto)
-        if self._rows is not rows:  # a real build, not a row already kept
-            built.append(m)
+    def counting(self, m, signed, upto):
+        row = self._row
+        build(self, m, signed, upto)
+        if self._row is not row:  # a real build, not a row already kept
+            built.append((m, signed))
 
     monkeypatch.setattr(ProportionTable, "_build", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify-thm2", "--n-hi", "60", "--format", "csv"]) == 1
-    moduli = {m for spec in _specs_upto(60)
-              for m in {spec.r, spec.power_order * spec.r}}
-    assert Counter(built) == Counter(moduli)
+    specs = _specs_upto(60)
+    plain = {(m, False) for spec in specs for m in {spec.r, spec.power_order * spec.r}}
+    signed = {(m, True) for spec in specs if spec.calc_group == "A"
+              for m in {spec.r, spec.power_order * spec.r} if m % 2 == 0}
+    assert signed  # family 10 reads even moduli in A_n
+    assert Counter(built) == Counter(plain | signed)
 
 
 def test_prob_b_upper_bound_window():
