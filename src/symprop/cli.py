@@ -21,9 +21,11 @@ contracts with newline line endings (byte-stable across runs for equal
 arguments and seed), "json" mirrors the csv fields.  Each command builds
 its records and text lines and hands them to :func:`symprop.reports.emit`,
 the one writer of results; integers print with every digit at any size.
-The library calls a command makes build the proportion rows they read;
-csv/json verify-thm2 and table2 make one batch of exact conditionals,
-which builds each modulus's row once for all selected cases and degrees.
+The library calls a command makes build the proportion rows they read.
+verify-thm2 builds its list of cases and degrees once.  In csv/json, as in
+table2, one batch of exact conditionals builds each modulus's row once for
+all selected cases and degrees; table mode hands the same list to the
+filtered sweep, one float filter pass per case.
 Progress for long sweeps goes to stderr, never stdout, through
 :func:`symprop.reports.note`, and so does the count of cells the float
 filter decided in verify-thm1 and table-mode verify-thm2.
@@ -183,14 +185,12 @@ def _thm2_windows(args: argparse.Namespace) -> list[tuple[int, int, int]]:
 
 def cmd_verify_thm2(args: argparse.Namespace) -> int:
     ranges = _thm2_windows(args)
-    cases = [cid for cid, _, _ in ranges]
+    specs = [case_params(cid, n) for cid, lo, hi in ranges for n in admissible_degrees(cid, lo, hi)]
     failures: list[CondProbReport] = []
 
     def every_degree() -> Iterator[dict]:
         # csv and json carry every degree, so each one is computed exactly,
         # in one batch over every case so that cases share proportion rows
-        specs = [case_params(cid, n) for cid, lo, hi in ranges
-                 for n in admissible_degrees(cid, lo, hi)]
         for rep in cond_probs(specs):
             if not rep.passed:
                 failures.append(rep)
@@ -198,13 +198,9 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
 
     def summary() -> Iterator[str]:
         # the table lists only the failures, so the float filter may pass the rest
-        degrees = 0
-        for cid, lo, hi in ranges:
-            count, bad = sweep_theorem2(cid, lo, hi)
-            degrees += count
-            failures.extend(bad)
-        yield (f"conditional floors over cases {cases}: "
-               f"{degrees} degrees, {len(failures)} failures")
+        failures.extend(sweep_theorem2(specs))
+        yield (f"conditional floors over cases {[cid for cid, _, _ in ranges]}: "
+               f"{len(specs)} degrees, {len(failures)} failures")
         yield from (r.line() for r in failures)
 
     # emit iterates only the argument its format needs

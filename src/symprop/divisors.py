@@ -226,12 +226,12 @@ def check_divisor_count_bound(n: int, variant: str) -> BoundReport:
     bound promises nothing there).  A variant that does not cover n, such as
     "odd" at even n, raises ValueError.
     """
-    d = len(divisor_list(n))
     if variant not in COUNT_BOUNDS:
         raise ValueError(f"unknown variant: {variant!r}")
     k, c_k, covers = COUNT_BOUNDS[variant]
     if not covers(n):
         raise ValueError(f"variant {variant!r} does not cover n = {n}")
+    d = len(divisor_list(n))
     lhs = Fraction(d**k)
     rhs = c_k * n
     ok = lhs <= rhs

@@ -8,26 +8,27 @@ recursion
     P(n, m) = (1/n) * sum_{d | m, d <= n} P(n - d, m),      P(0, m) = 1,
 
 because a cycle of length d through the point can be completed in
-(n-1)!/(n-d)! ways.  A d-cycle has sign (-1)^(d-1), and the sign is
-multiplicative over cycles, so the signed proportion s(n, m), each
-permutation weighted by its sign, obeys the same recursion with that sign
-on each term:
+(n-1)!/(n-d)! ways.  The signed proportion s(n, m) weighs each permutation
+by its sign; for odd m every cycle length is odd, so s = P.  The proportion
+inside A_n (n >= 2) is P + s, as 1 + sign(g) is 2 on the even permutations
+and 0 on the odd ones.  A d-cycle has sign (-1)^(d-1), so by the
+exponential formula (Stanley, *Enumerative Combinatorics* 2, section 5.1)
+sum_n s(n, m) x^n = exp(-sum_{d | m} (-x)^d / d), and t(n, m) =
+(-1)^n s(n, m) obeys the plain recursion with every step negated:
 
-    s(n, m) = (1/n) * sum_{d | m, d <= n} (-1)^(d-1) s(n - d, m),   s(0, m) = 1.
+    t(n, m) = -(1/n) * sum_{d | m, d <= n} t(n - d, m),       t(0, m) = 1.
 
-For odd m every term is positive and s = P.  The proportion inside A_n
-(n >= 2) is P + s, as 1 + sign(g) is 2 on the even permutations and 0 on
-the odd ones.  The signed recursion cancels, so no float code runs it; it
-serves only the exact rows.
+Its terms cancel, so no float code runs it; it serves only the exact rows.
 
-:class:`ProportionTable` is exact.  It runs either recursion on integers
-scaled by L!, for the last degree L of a row: F(j) = L! P(j, m) or
-G(j) = L! s(j, m).  Each step is a sum of at most D big integers, D the
-number of divisors d <= j of m, and one division by the small integer j,
-which is exact because j F(j) = L! j P(j, m) is the sum and
-F(j) = (L!/j!) j! P(j, m) is an integer (j! P(j, m) counts permutations);
-likewise j! s(j, m) is the count of even permutations less the count of
-odd ones.  A Fraction is formed only at query time.
+:class:`ProportionTable` is exact.  It runs the recursion on integers
+scaled by L!, for the last degree L of a row: F(j) = L! P(j, m), or
+T(j) = L! t(j, m) with the negated step.  Each step is a sum of at most D
+big integers, D the number of divisors d <= j of m, and one division by
+the small integer j (or -j), which is exact because j F(j) = L! j P(j, m)
+is the sum and F(j) = (L!/j!) j! P(j, m) is an integer (j! P(j, m) counts
+permutations); likewise j! s(j, m) is the count of even permutations less
+the count of odd ones.  The sign (-1)^n of a signed entry goes back on
+when it is read, and a Fraction is formed only then.
 
 :func:`prop_enclosure` runs the plain recursion in float64, on proportions,
 so no factorial is ever formed, for many moduli at once, and bounds only
@@ -108,9 +109,7 @@ def _divisors_upto(m: int, n: int) -> tuple[int, ...]:
 
 
 def _offset_sum(offsets: list[int]) -> Callable[[list[int]], int]:
-    """The function summing row[k] over the offsets k."""
-    if not offsets:
-        return lambda row: 0
+    """The function summing row[k] over the offsets k, of which there is at least one."""
     if len(offsets) == 1:
         (k,) = offsets
         return lambda row: row[k]
@@ -123,16 +122,16 @@ class ProportionTable:
 
     The row for modulus m and a sign flag holds, for 0 <= j <= L, L being
     its last degree, the integers F(j) = L! * P(j, m) of a plain row, or
-    G(j) = L! * s(j, m) of a signed one:
+    T(j) = L! * t(j, m) = (-1)^j L! * s(j, m) of a signed one:
 
         F(0) = L!,      F(j) = (sum_{d | m, d <= j} F(j - d)) // j,
-        G(0) = L!,      G(j) = (sum_{d odd} G(j - d) - sum_{d even} G(j - d)) // j.
+        T(0) = L!,      T(j) = (sum_{d | m, d <= j} T(j - d)) // -j.
 
-    The division is exact: the sum is j * F(j) (or j * G(j)), and
+    The division is exact: the sum is j * F(j) (or -j * T(j)), and
     F(j) = (L!/j!) * C(j) is an integer, C(j) = j! P(j, m) being a count of
-    permutations; G(j) likewise, j! s(j, m) being the even count less the
+    permutations; T(j) likewise, j! s(j, m) being the even count less the
     odd one.  A step costs one big-integer addition per divisor and one
-    division by the small integer j.
+    division by j or -j.  Reads put the sign (-1)^n back on a signed entry.
 
     Only the row built last is kept, keyed by (m, signed), up to the degree
     L of the request that built it.  For odd m the two rows agree, so the
@@ -166,19 +165,21 @@ class ProportionTable:
         scale = factorial(upto)
         self._key, self._scale, self._down = key, scale, (upto, 1)
         row = self._row = [scale]
+        sign = -1 if key[1] else 1  # a signed row negates every step
         # row[j - d] is row[-d] while row has j entries; the divisors d <= j
         # only change at j = d, so each stretch of degrees between two
-        # divisors sums over fixed lists of offsets, the even d of a signed
-        # row subtracted
+        # divisors sums over one fixed list of offsets, opened by d = 1
         divs = _divisors_upto(m, upto)
-        ends = divs[1:] + (upto + 1,)
-        plus: list[int] = []
-        minus: list[int] = []
-        for d, end in zip(divs, ends):
-            (minus if key[1] and d % 2 == 0 else plus).append(-d)
-            at_plus, at_minus = _offset_sum(plus), _offset_sum(minus)
+        offsets: list[int] = []
+        for d, end in zip(divs, divs[1:] + (upto + 1,)):
+            offsets.append(-d)
+            at = _offset_sum(offsets)
             for j in range(d, end):
-                row.append((at_plus(row) - at_minus(row)) // j)
+                row.append(at(row) // (sign * j))
+
+    def _entry(self, n: int) -> int:
+        """L! times the proportion at n: a signed entry with (-1)^n put back."""
+        return -self._row[n] if self._key[1] and n % 2 else self._row[n]
 
     def count(self, n: int, m: int, signed: bool = False) -> int:
         """The weighted count C(n) itself (n! times the proportion)."""
@@ -191,7 +192,7 @@ class ProportionTable:
         k, q = self._down
         q = q // prod(range(k + 1, n + 1)) if n >= k else q * prod(range(n + 1, k + 1))
         self._down = (n, q)
-        return self._row[n] // q
+        return self._entry(n) // q
 
     def prop(self, n: int, m: int, signed: bool = False) -> Fraction:
         if m < 1:
@@ -201,7 +202,7 @@ class ProportionTable:
         if n == 0:
             return Fraction(1)
         self._build(m, signed, n)
-        return Fraction(self._row[n], self._scale)
+        return Fraction(self._entry(n), self._scale)
 
     def ensure(self, m: int, upto: int, signed: bool = False) -> None:
         self._build(m, signed, max(upto, 0))

@@ -43,12 +43,13 @@ a modulus share its row: a modulus m is r = n - offset for every family at
 its own degree n = m + offset, families 2 and 3 share 2r, and families 6 to
 10 share 3r.
 :func:`cond_prob`, the command line's table2 and csv/json verify-thm2, and
-the exact fallback of :func:`sweep_theorem2` all go through it; the sweep
-sends every degree its filter leaves open to one batch.  It passes a degree
-without the exact value only when P(A) over an upper bound hi_B for P(B), a
-rational lower bound for P(A | B), already clears both floors by the same
-exact predicate that judges the exact conditional; every other degree, and
-every failure it reports, is computed exactly.  hi_B is the upper end of
+the exact fallback of :func:`sweep_theorem2` all go through it.  The sweep
+takes the same batch and sends the degrees its filter leaves open in each
+run of one family to one batch.  It passes a degree without the exact value
+only when P(A) over an upper bound hi_B for P(B), a rational lower bound for
+P(A | B), already clears both floors by :func:`_floors_hold`, the exact
+predicate that judges the exact conditional; every other degree, and every
+failure it reports, is computed exactly.  hi_B is the upper end of
 the float64 enclosure of P(B) in S_n (see :mod:`symprop.proportions`),
 doubled for the A_n families: for any event B, B and A_n meet in at most
 |B| elements and |A_n| = n!/2, so P_{A_n}(B) <= 2 P_{S_n}(B).  The bound is
@@ -56,7 +57,8 @@ tight for odd moduli (families 4 and 5), whose B holds even permutations
 only.  The absolute lower bounds on P(A | B) are 1/2 for the single-cycle
 families (weakening to 2/7 for case 1 when n divides 24), and 1/3 for the
 rest, except a short list of small degrees where 1/4, 3/10 or 3/20 is the
-true floor.
+true floor.  The second floor, base - (a + b*gamma)/n^(2/3), is in the
+family row too; it decides only at large degrees (n > 662 at the least).
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, inf, prod
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -84,7 +88,6 @@ __all__ = [
     "cond_prob",
     "cond_probs",
     "lower_bound_for",
-    "check_n23_bound",
     "sweep_theorem2",
     "admissible_divisor_check",
     "TABLE2_EXCEPTIONS",
@@ -323,36 +326,28 @@ def cond_prob(spec: CaseSpec) -> CondProbReport:
     return cond_probs([spec])[0]
 
 
-def _n23_parameters(spec: CaseSpec) -> tuple[Fraction, int, int, int]:
-    """(base, a, b, arg) of the floor  base - (a + b*gamma(arg)) / n^(2/3)."""
-    fam = _FAMILIES[spec.case_id]
-    return (*fam.n23, spec.n if fam.gamma_of_n else spec.order_bound)
-
-
-def check_n23_bound(spec: CaseSpec, cond_value: Fraction) -> BoundReport:
-    """Check cond_value >= base - K/n^(2/3) without irrational arithmetic.
-
-    With deficit = max(base - cond_value, 0) the claim is equivalent to
-    deficit**3 * n**2 <= K**3, an exact rational comparison.  Whenever
-    the floor is nonpositive the comparison passes automatically, so no
-    separate positivity test is needed.
-    """
-    base, a, b, arg = _n23_parameters(spec)
-    lhs = max(base - cond_value, Fraction(0)) ** 3 * spec.n**2
-    rhs = (a + b * gamma_value(arg)) ** 3
-    return BoundReport("n23-lower", spec.n, spec.order_bound, None, lhs, rhs, lhs <= rhs,
-                       f"case {spec.case_id}: floor {base} - ({a}+{b}*gamma({arg}))/n^(2/3)")
-
-
 def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
     """Whether a conditional P(A | B) of ``value`` clears both floors of the
-    degree: the absolute one and the n^(2/3)-shaped one."""
-    return value >= lower_bound_for(spec) and check_n23_bound(spec, value).passed
+    degree: the absolute one, and base - K/n^(2/3) with K = a + b*gamma.
+
+    The family row gives (base, a, b) and gamma's argument, n or s*r.  The
+    second floor holds outright when the deficit base - value is at most 0;
+    otherwise it is deficit**3 * n**2 <= K**3, an exact rational comparison
+    with no irrational arithmetic.
+    """
+    if value < lower_bound_for(spec):
+        return False
+    fam = _FAMILIES[spec.case_id]
+    base, a, b = fam.n23
+    deficit = base - value
+    k = a + b * gamma_value(spec.n if fam.gamma_of_n else spec.order_bound)
+    return deficit <= 0 or deficit**3 * spec.n**2 <= k**3
 
 
 def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[CaseSpec]:
     """The specs of one family whose degrees the float filter cannot pass.
 
+    ``specs`` is one block of a family's run in :func:`sweep_theorem2`.
     P(B) is enclosed in S_n from its terms (see :func:`_b_moduli`), one
     read per term at the spec's degree.  Its upper end hi_B is that of the
     first term, less the lower end of the second when there is one, rounded
@@ -376,20 +371,23 @@ def _open_degrees(specs: Sequence[CaseSpec]) -> Iterator[CaseSpec]:
             yield spec
 
 
-def sweep_theorem2(case_id: int, n_lo: int, n_hi: int) -> tuple[int, list[CondProbReport]]:
-    """The verdicts of :func:`cond_probs` over one family's window, filter first.
+def sweep_theorem2(specs: Sequence[CaseSpec]) -> list[CondProbReport]:
+    """The failing reports of :func:`cond_probs` over ``specs``, filter first.
 
-    Returns the number of admissible degrees in [n_lo, n_hi] and the exact
-    reports of those that fail, sorted by degree.  It is one
-    :func:`~symprop.proportions.filter_then_exact` pass, a column per degree:
-    :func:`_open_degrees` passes what the float enclosure of P(B) certifies,
-    and the rest go to one :func:`cond_probs` batch, so they share rows; both
-    judge by :func:`_floors_hold`.
+    Returns the exact reports of the specs that fail, in input order.  Each
+    run of consecutive specs of one family is one
+    :func:`~symprop.proportions.filter_then_exact` pass labelled
+    ``case {id}``, a column per degree: :func:`_open_degrees` passes what the
+    float enclosure of P(B) certifies, and the rest go to one
+    :func:`cond_probs` batch, so they share rows; both judge by
+    :func:`_floors_hold`.
     """
-    specs = [case_params(case_id, n) for n in admissible_degrees(case_id, n_lo, n_hi)]
-    failures = filter_then_exact(f"case {case_id}", specs, len(specs), _open_degrees,
-                                 cond_probs)
-    return len(specs), failures
+    failures: list[CondProbReport] = []
+    for case_id, run in groupby(specs, attrgetter("case_id")):
+        family = list(run)
+        failures += filter_then_exact(f"case {case_id}", family, len(family), _open_degrees,
+                                      cond_probs)
+    return failures
 
 
 def admissible_divisor_check(case_id: int, n: int) -> BoundReport:

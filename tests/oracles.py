@@ -7,6 +7,10 @@ where ``z = prod(d**k_d * k_d!)`` is the centralizer order of a type
 with ``k_d`` cycles of length ``d``; the share of a type in A_n is
 ``2/z`` when the type is even and 0 otherwise.
 
+``n23_record`` is the one oracle that reads a spec: it takes the case,
+degree and modulus off any object with ``case_id``, ``n`` and
+``order_bound`` fields, and keeps its own copy of the paper's constants.
+
 The S_n oracles enumerate permutations or partitions.  The A_n oracles
 run a dynamic programme over the divisors of the modulus, so they
 neither use the cycle-count recursion of ``ProportionTable`` nor
@@ -295,3 +299,30 @@ def quad_divisor_excess(n: int, divisor_ends: bool) -> int:
     ends = _divisors(n) if divisor_ends else range(1, n + 1)
     return max(prefix[b] - prefix[a - 1] - (b - 1) * (b - 2) - n * (b - a)
                for b in ends for a in ends if a <= b)
+
+
+# case -> (base, a, b, gamma of n?) of the theorem-2 floor base - (a + b*gamma)/n^(2/3),
+# gamma's argument being n when the flag is set and s*r otherwise
+_N23 = {
+    **{cid: (Fraction(1), 8, 15, True) for cid in (1, 4, 5)},
+    **{cid: (Fraction(1), 18, 76, False) for cid in (2, 3)},
+    **{cid: (Fraction(1), 98, 839, False) for cid in (6, 7, 8, 10)},
+    9: (Fraction(1, 2), 46, 228, False),
+}
+
+
+def _gamma(m: int) -> Fraction:
+    """The step constant gamma(m) of the O(m/n^2) proportion bounds."""
+    return Fraction(3345, 1000) if m <= 60 else Fraction(5, 2) if m <= 360 else Fraction(2)
+
+
+def n23_record(spec, value: Fraction) -> tuple:
+    """The fields (kind, n, m, d, lhs, rhs, passed, witness) of the check
+    value >= base - K/n^(2/3), K = a + b*gamma, made exact by cubing:
+    max(base - value, 0)**3 * n**2 <= K**3."""
+    base, a, b, of_n = _N23[spec.case_id]
+    arg = spec.n if of_n else spec.order_bound
+    lhs = max(base - value, Fraction(0)) ** 3 * spec.n**2
+    rhs = (a + b * _gamma(arg)) ** 3
+    return ("n23-lower", spec.n, spec.order_bound, None, lhs, rhs, lhs <= rhs,
+            f"case {spec.case_id}: floor {base} - ({a}+{b}*gamma({arg}))/n^(2/3)")

@@ -205,6 +205,18 @@ def test_count_bound_variants():
         assert check_divisor_count_bound(1, variant).passed
 
 
+def test_count_bound_validates_before_factoring(monkeypatch):
+    # an unknown variant, or one that does not cover n, is refused before n is factored
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(divisors_module, "divisor_list", refuse)
+    with pytest.raises(ValueError, match="unknown variant"):
+        check_divisor_count_bound(15, "cube")
+    with pytest.raises(ValueError, match="does not cover"):
+        check_divisor_count_bound(16, "odd")
+
+
 def test_count_bound_candidate_exception():
     # the plain bound holds at the largest candidate; membership is the claim
     n = 2**6 * 3**4 * 5**2 * 7 * 13

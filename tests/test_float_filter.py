@@ -154,11 +154,12 @@ def test_theorem1_filter_defers_failures_and_ties(monkeypatch, capsys):
 def test_theorem2_filter_agrees_with_exact(case, strict, monkeypatch):
     if strict:
         # the n^(2/3) floor raised to 1 - 1/n^(2/3) fails at many degrees
-        monkeypatch.setattr(recognition, "_n23_parameters",
-                            lambda spec: (Fraction(1), 1, 0, spec.n))
-    every = cond_probs([case_params(case, n) for n in admissible_degrees(case, 1, 100)])
-    count, failures = sweep_theorem2(case, 1, 100)
-    assert count == len(every)
+        monkeypatch.setattr(recognition, "_FAMILIES", {
+            cid: fam._replace(n23=(Fraction(1), 1, 0))
+            for cid, fam in recognition._FAMILIES.items()})
+    specs = [case_params(case, n) for n in admissible_degrees(case, 1, 100)]
+    every = cond_probs(specs)
+    failures = sweep_theorem2(specs)
     assert failures == [r for r in every if not r.passed]
     if case == 10 and not strict:
         assert [r.n for r in failures] == [37, 85]

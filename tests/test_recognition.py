@@ -9,18 +9,18 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import iter_partitions, prob_A_centralizer, prob_A_rcycle
+from oracles import iter_partitions, n23_record, prob_A_centralizer, prob_A_rcycle
 from symprop import cli
 from symprop.proportions import ProportionTable, prop_alternating, prop_order_dividing
 from symprop.recognition import (
     CASE1_WEAK_NS,
     TABLE2_EXCEPTIONS,
     _centralizer_order,
+    _floors_hold,
     admissible_degrees,
     admissible_divisor_check,
     admissible_n,
     case_params,
-    check_n23_bound,
     cond_prob,
     cond_probs,
     lower_bound_for,
@@ -231,7 +231,28 @@ def test_n23_bound_samples():
         for n in admissible_degrees(cid, 30, 90):
             spec = case_params(cid, n)
             value = cond_prob(spec).p_A_given_B
-            assert check_n23_bound(spec, value).passed, (cid, n)
+            assert n23_record(spec, value)[6], (cid, n)
+
+
+# one degree per family past the crossing where base - K/n^(2/3) rises above
+# the absolute floor: about 663 for families 1, 4, 5, 4,073 for 2, 3, 137,501
+# for 6 to 8 and 10, and 165,302 for 9
+N23_DECIDES = {1: 1000, 2: 5001, 3: 5000, 4: 1001, 5: 1000, 6: 150002, 7: 150003,
+               8: 150000, 9: 180001, 10: 150001}
+
+
+@pytest.mark.parametrize("cid", ALL_CASES)
+def test_n23_floor_decides_past_the_crossing(cid):
+    # no window run reaches these degrees, so the n^(2/3) floor is judged
+    # here on values a hair either side of it
+    spec = case_params(cid, N23_DECIDES[cid])
+    base, a, b, _ = oracles._N23[cid]
+    floor = base - (a + 2 * b) / Fraction(spec.n ** (2 / 3))  # gamma = 2 past 360
+    assert floor > lower_bound_for(spec)
+    eps = Fraction(1, 10**9)
+    verdicts = [_floors_hold(spec, floor + side * eps) for side in (-1, 1)]
+    assert verdicts == [False, True]
+    assert verdicts == [n23_record(spec, floor + side * eps)[6] for side in (-1, 1)]
 
 
 def test_divisor_classification_examples():
@@ -273,7 +294,7 @@ def test_family_records_are_pinned():
             rep = cond_prob(spec)
             rec = [cid, n, spec.r, spec.parts, spec.power_order, spec.calc_group,
                    spec.order_bound, prob_A(spec), lower_bound_for(spec), rep.record(),
-                   astuple(check_n23_bound(spec, rep.p_A_given_B))]
+                   n23_record(spec, rep.p_A_given_B)]
             if cid not in (1, 4, 5):
                 rec += [prob_B_upper_bound(spec), astuple(admissible_divisor_check(cid, n))]
             records.append(rec)
