@@ -67,9 +67,12 @@ __all__ = [
     "check_excess_threshold",
     "check_excess_monotone",
     "EXPECTED_MAJORANT_FAILURES",
+    "EXCESS_THRESHOLD_M",
 ]
 
 EXPECTED_MAJORANT_FAILURES = frozenset({72, 120})
+# the tail's f(m, c0) <= 1 from here on; the majorant sweep covers m up to it
+EXCESS_THRESHOLD_M = 19020
 
 
 def prop_upper_bound(n: int, m: int) -> Fraction:
@@ -173,8 +176,6 @@ _MAJORANT_BLOCK = 2048
 # listed candidates per batch of the majorant sweep: bounds peak RSS, as
 # the batch's divisor pairs each carry about a dozen int64 temporaries
 _CANDIDATE_CHUNK = 128
-# the majorant's cross-multiplied sides fit int64 for m up to here
-_INT64_SIDES_M = 10**6
 
 
 def _sieved_pairs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,13 +273,11 @@ def _majorant_sides(pairs: tuple[np.ndarray, np.ndarray]
     where the step holds iff lhs <= rhs.
 
     For gamma(m) = p/q from :func:`~symprop.divisors.gamma_value`, d
-    qualifies iff (dq)**2 > p**2 m, and the step is cross-multiplied by dq:
-    lhs = S-hat(d, m) d q and rhs = (d-1)(d-2)(dq + pm).  Both are int64
-    while every m is at most ``_INT64_SIDES_M`` = 10**6: rhs <= 3m**3 for
-    m > 360 (gamma = 2) and far less below, and S-hat(d, m) d < 1.7 * 10**18,
-    from S-hat(m, m) <= sigma_2(m) + 3 d(m) sigma(m) + d(m)**3 with
-    sigma_2(m) < 1.65 m**2, sigma(m) <= m (1 + ln d(m)) and d(m)**2 <= 3m.
-    Above that, both are Python ints.
+    qualifies iff (dq)**2 > p**2 m, and the step times q reads lhs =
+    S-hat(d, m) q <= rhs = (d-1)(d-2)(q + p m/d), integers as d | m.
+    Both are int64 for every m :func:`_relaxed_sums` accepts: above
+    m = 360, q = 1, so lhs < 14 m**2 by the bound on S-hat(m, m) there and
+    rhs < d**2 + 2dm <= 3m**2; below, q <= 200 keeps them small.
     """
     pm, pd = pairs
     first = np.flatnonzero(np.r_[True, pm[1:] != pm[:-1]])
@@ -288,10 +287,7 @@ def _majorant_sides(pairs: tuple[np.ndarray, np.ndarray]
     q = np.repeat(np.array([g.denominator for g in gammas], dtype=np.int64), counts)
     keep = (pd * q) ** 2 > p * p * pm
     m, d, p, q = pm[keep], pd[keep], p[keep], q[keep]
-    s = _relaxed_sums(pairs, m, d)
-    if pm[-1] > _INT64_SIDES_M:
-        s, d, p, q, m = (x.astype(object) for x in (s, d, p, q, m))
-    return m, d, s * d * q, (d - 1) * (d - 2) * (d * q + p * m)
+    return m, d, _relaxed_sums(pairs, m, d) * q, (d - 1) * (d - 2) * (q + p * (m // d))
 
 
 def _tightest(sides: Iterable[tuple[int, int, int]]
@@ -315,12 +311,13 @@ def verify_shat_condition(m: int) -> BoundReport:
 
     read from :func:`_majorant_sides` as a batch of one modulus, so a
     report compares exactly the sides the sweep compares.  The threshold
-    comparison is exact (d**2 * q**2 > p**2 * m for gamma = p/q) and the
-    main comparison is cross-multiplied by d*q.  The report fails iff some
-    qualifying divisor violates the inequality; the witness names all of
-    them.  Across 2 <= m <= 19020 together with the refined divisor-count
-    candidates, the failures are exactly m = 72 and m = 120; for those two
-    values :func:`verify_exceptional_m` settles the full n-range directly.
+    comparison is exact (d**2 * q**2 > p**2 * m for gamma = p/q), and the
+    reported sides are the main comparison cross-multiplied by d*q, those
+    of the batch times d.  The report fails iff some qualifying divisor
+    violates the inequality; the witness names all of them.  Across
+    2 <= m <= 19020 together with the refined divisor-count candidates, the
+    failures are exactly m = 72 and m = 120; for those two values
+    :func:`verify_exceptional_m` settles the full n-range directly.
     A divisor landing exactly on the threshold (d*q == p*sqrt(m),
     which happens at square m such as m = 100, d = 25) is excluded,
     as the comparison is strict; the witness notes any such divisor.
@@ -343,8 +340,8 @@ def verify_shat_condition(m: int) -> BoundReport:
             "d == gamma*sqrt(m) at d=" + ",".join(map(str, boundary)) + " (excluded, strict)"
         )
     lhs, rhs, d = tight if tight is not None else (0, 0, None)
-    return BoundReport("relaxed-majorant", None, m, d, Fraction(lhs), Fraction(rhs),
-                       not failing, "; ".join(notes))
+    return BoundReport("relaxed-majorant", None, m, d, Fraction(lhs * (d or 1)),
+                       Fraction(rhs * (d or 1)), not failing, "; ".join(notes))
 
 
 def verify_exceptional_m(m: int) -> BoundReport:
@@ -409,7 +406,7 @@ def sweep_divisor_majorant(
 # --- certified tail evaluation -----------------------------------------------
 
 
-_EXCESS_GRID = (19020, 40000, 10**5, 10**6, 10**7, 10**8)
+_EXCESS_GRID = (EXCESS_THRESHOLD_M, 40000, 10**5, 10**6, 10**7, 10**8)
 
 
 def excess_ratio_bound(m: int) -> tuple[Fraction, Fraction]:
@@ -436,17 +433,9 @@ def excess_ratio_bound(m: int) -> tuple[Fraction, Fraction]:
 
 def check_excess_threshold() -> BoundReport:
     """Certify f(19020, c0) <= 1 from the upper end of its bounds."""
-    lo, hi = excess_ratio_bound(19020)
-    return BoundReport(
-        "excess-threshold",
-        None,
-        19020,
-        None,
-        hi,
-        Fraction(1),
-        hi <= 1,
-        f"enclosure width {float(hi - lo):.2e}",
-    )
+    lo, hi = excess_ratio_bound(EXCESS_THRESHOLD_M)
+    return BoundReport("excess-threshold", None, EXCESS_THRESHOLD_M, None, hi, Fraction(1),
+                       hi <= 1, f"enclosure width {float(hi - lo):.2e}")
 
 
 def check_excess_monotone() -> BoundReport:

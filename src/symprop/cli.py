@@ -42,6 +42,7 @@ from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from .bounds import (
+    EXCESS_THRESHOLD_M,
     EXPECTED_MAJORANT_FAILURES,
     check_prop_upper_bound,
     majorant_moduli,
@@ -51,6 +52,7 @@ from .bounds import (
     verify_exceptional_m,
 )
 from .divisors import applicable_variants, check_divisor_count_bound, divisor_list
+from .divisors import divisor_rich_candidates
 from .divisors import gamma_value, sweep_divisor_count_bounds, sweep_quadratic_divisor_sums
 from .proportions import prop_alternating, prop_order_dividing, prop_order_dividing_signed
 from .proportions import prop_split
@@ -135,7 +137,7 @@ def cmd_divisors(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma_check(args: argparse.Namespace) -> int:
-    containment = 11_793_600 if args.full else None
+    containment = divisor_rich_candidates()[-1] if args.full else None
     failures = sweep_divisor_count_bounds(args.limit, containment_limit=containment)
     failures += sweep_quadratic_divisor_sums(args.pairs_max)
     scope = f"counts to {args.limit}" + (f", containment to {containment}" if containment else "")
@@ -157,7 +159,7 @@ def cmd_verify_thm1(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_shat(args: argparse.Namespace) -> int:
-    m_max = 19020 if args.full else args.m_max or 2000
+    m_max = EXCESS_THRESHOLD_M if args.full else args.m_max or 2000
     with_candidates = not args.no_candidates
     failures = sweep_divisor_majorant(m_max, include_candidates=with_candidates)
     got = sorted(r.m for r in failures)
@@ -287,7 +289,7 @@ def _check_verify_thm1(args: argparse.Namespace) -> str | None:
 
 def _check_verify_shat(args: argparse.Namespace) -> str | None:
     if args.full and args.m_max is not None:
-        return "--full sweeps to m = 19020, so --m-max does not apply"
+        return f"--full sweeps to m = {EXCESS_THRESHOLD_M}, so --m-max does not apply"
     return None
 
 
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="divisor majorant sweep; failing exactly {72,120} is the expected outcome",
     )
     p.add_argument("--m-max", type=_int_at_least(2), help="sweep to m-max (default 2000)")
-    p.add_argument("--full", action="store_true", help="sweep to m = 19020")
+    p.add_argument("--full", action="store_true", help=f"sweep to m = {EXCESS_THRESHOLD_M}")
     p.add_argument("--no-candidates", action="store_true",
                    help="skip the divisor-rich candidates above m-max")
     p.set_defaults(func=cmd_verify_shat, check=_check_verify_shat)
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma-check", parents=[common], help="divisor lemma sweeps")
     p.add_argument("--limit", type=positive, default=1_000_000)
     p.add_argument("--full", action="store_true",
-                   help="extend the containment check to 11793600")
+                   help=f"extend the containment check to {divisor_rich_candidates()[-1]}")
     p.add_argument("--pairs-max", type=positive, default=2000)
     p.set_defaults(func=cmd_lemma_check)
 

@@ -360,9 +360,9 @@ def sweep_divisor_count_bounds(
 
     The refined-constant containment check (failures of the "c0" bound must
     all be listed candidates) runs up to ``containment_limit`` instead when
-    given; pass 11_793_600 to cover the whole candidate range.  Returns the
-    failures across all variants, expected empty.  The one sieve is read in
-    blocks of ``SWEEP_BLOCK`` integers, so only it grows with the range.
+    given; ``divisor_rich_candidates()[-1]`` covers every candidate.  Returns
+    the failures across all variants, expected empty.  The one sieve is read
+    in blocks of ``SWEEP_BLOCK`` integers, so only it grows with the range.
     """
     top = max(limit, containment_limit or 0)
     hi = containment_limit if containment_limit is not None else limit
@@ -378,12 +378,11 @@ def sweep_divisor_count_bounds(
                 fails = covers(n) & (c**k * c_k.denominator > c_k.numerator * n)
                 above[variant] += n[fails & (n <= upto[variant])].tolist()
 
-    viol = above.pop("c0")  # n <= hi above the refined bound
-    stray = [k for k in viol if not is_divisor_rich_candidate(k)]
-    failures = [check_divisor_count_bound(k, variant)
-                for variant, ns in above.items() for k in ns]
-    failures += [check_divisor_count_bound(k, "c0") for k in stray]
+    # check_divisor_count_bound passes the c0 violators that are listed candidates
+    reports = [check_divisor_count_bound(k, variant) for variant, ns in above.items() for k in ns]
+    failures = [r for r in reports if not r.passed]
+    stray = any(r.kind == "divcount-c0" for r in failures)
     note(f"checked n <= {limit} (containment to {hi}): "
-         f"{len(failures)} failure(s), {len(viol)} refined-bound violations all "
-         + ("listed" if not stray else "NOT all listed"))
+         f"{len(failures)} failure(s), {len(above['c0'])} refined-bound violations "
+         + ("NOT all listed" if stray else "all listed"))
     return failures

@@ -134,7 +134,7 @@ class _Family(NamedTuple):
     floor: Fraction  # absolute floor for P(A | B) outside _FLOOR_EXCEPTIONS
     n23: tuple[Fraction, int, int]  # (base, a, b) of base - (a + b*gamma)/n^(2/3)
     gamma_of_n: bool  # that gamma's argument: n if true, else s*r
-    pb: tuple[Fraction, int, int, Fraction, Fraction] | None  # see prob_B_upper_bound
+    pb: tuple[Fraction, int, int] | None  # (lead, a, b); see prob_B_upper_bound
     # (cofactors, cutoff, stray (n, r, d), least n); see admissible_divisor_check
     classes: tuple[tuple[int, ...], int, tuple[int, int, int] | None, int] | None
 
@@ -143,21 +143,21 @@ _F = Fraction
 _FAMILIES: dict[int, _Family] = {
     1: _Family((0,), 1, 5, "any n", 0, (), 1, "S", _F(1, 2), (_F(1), 8, 15), True, None, None),
     2: _Family((1,), 2, 8, "n odd", 2, (2,), 2, "S", _F(1, 3), (_F(1), 18, 76), False,
-               (_F(1), 3, 18, _F(5, 3), _F(50, 9)), ((2, 3), 5, None, 7)),
+               (_F(1), 3, 18), ((2, 3), 5, None, 7)),
     3: _Family((0,), 2, 8, "n even", 3, (2,), 2, "S", _F(1, 3), (_F(1), 18, 76), False,
-               (_F(1), 3, 18, _F(5, 3), _F(50, 9)), ((2, 3), 5, None, 7)),
+               (_F(1), 3, 18), ((2, 3), 5, None, 7)),
     4: _Family((1,), 2, 5, "n odd", 0, (), 1, "A", _F(1, 2), (_F(1), 8, 15), True, None, None),
     5: _Family((0,), 2, 5, "n even", 1, (), 1, "A", _F(1, 2), (_F(1), 8, 15), True, None, None),
     6: _Family((2, 4), 6, 8, "n = 2 or 4 (mod 6)", 3, (3,), 3, "S", _F(1, 3), (_F(1), 98, 839),
-               False, (_F(1), 7, 39, _F(5, 4), _F(75, 16)), ((3, 5, 7, 11, 13), 15, None, 8)),
+               False, (_F(1), 7, 39), ((3, 5, 7, 11, 13), 15, None, 8)),
     7: _Family((3, 5), 6, 8, "n = 3 or 5 (mod 6)", 4, (3,), 3, "S", _F(1, 3), (_F(1), 98, 839),
-               False, (_F(1), 7, 39, _F(5, 4), _F(75, 16)), ((3, 5, 7, 11, 13), 15, None, 8)),
+               False, (_F(1), 7, 39), ((3, 5, 7, 11, 13), 15, None, 8)),
     8: _Family((0,), 6, 8, "n = 0 (mod 6)", 5, (3,), 3, "S", _F(1, 3), (_F(1), 98, 839),
-               False, (_F(1, 2), 7, 39, _F(5, 4), _F(75, 16)), ((3, 5, 7, 11, 13), 15, None, 8)),
+               False, (_F(1, 2), 7, 39), ((3, 5, 7, 11, 13), 15, None, 8)),
     9: _Family((1,), 6, 8, "n = 1 (mod 6)", 6, (3,), 3, "S", _F(1, 3), (_F(1, 2), 46, 228),
-               False, (_F(1, 3), 7, 39, _F(5, 4), _F(75, 16)), ((3, 5, 7, 11, 13), 15, None, 8)),
+               False, (_F(1, 3), 7, 39), ((3, 5, 7, 11, 13), 15, None, 8)),
     10: _Family((1,), 6, 8, "n = 1 (mod 6)", 5, (2, 3), 3, "A", _F(1, 3), (_F(1), 98, 839),
-                False, (_F(1), 8, 96, _F(5), _F(75, 2)), ((3, 4), 5, (13, 8, 12), 8)),
+                False, (_F(1), 8, 96), ((3, 4), 5, (13, 8, 12), 8)),
 }
 
 # Degrees where the case-1 floor drops from 1/2 to 2/7.
@@ -284,14 +284,20 @@ def prob_B_upper_bound(spec: CaseSpec) -> Fraction:
 
         lead/m + (a + b*g)/n^2 + d(m) * (c + e*g)/n^2
 
-    for the family's constants (lead, a, b, c, e).  The single-cycle
-    families are served by the sharper near-diagonal bound on the plain
-    proportion instead (see bounds module).
+    for the family's constants (lead, a, b).  c and e are theorem 1 on each
+    P(n - d, m) of a first-point step, over the divisors d whose cofactor is
+    at least the cutoff y0 of the family's divisor classes: n - d >= kappa*n
+    with kappa = 1 - s/y0, as m <= s*n, so c = h/kappa and e = h*s/kappa**2,
+    with h = 2 in A_n and 1 in S_n.  The single-cycle families are served
+    by the sharper near-diagonal bound on the plain proportion instead.
     """
-    pb = _FAMILIES[spec.case_id].pb
-    if pb is None:
+    fam = _FAMILIES[spec.case_id]
+    if fam.pb is None:
         raise ValueError("closed P(B) bound available for cases 2,3 and 6..10 only")
-    lead, a, b, c, e = pb
+    lead, a, b = fam.pb
+    kappa = 1 - Fraction(fam.s, fam.classes[1])
+    h = 2 if fam.group == "A" else 1
+    c, e = h / kappa, h * fam.s / kappa**2
     m, n = spec.order_bound, spec.n
     g = gamma_value(m)
     return lead / m + (a + b * g) / n**2 + len(divisor_list(m)) * (c + e * g) / n**2

@@ -9,7 +9,6 @@ import pytest
 from oracles import divisor_sum_naive
 from symprop import bounds, divisors
 from symprop.bounds import (
-    _INT64_SIDES_M,
     EXPECTED_MAJORANT_FAILURES,
     _capped_sums,
     _listed_pairs,
@@ -149,28 +148,21 @@ def test_relaxed_sums_against_the_naive_oracle():
     assert sums == [divisor_sum_naive(a, m, m) for m, a in queries]
 
 
-def test_majorant_sides_at_the_int64_cutoff():
-    # the two candidates nearest the cutoff, one on each side of it
-    below = max(c for c in divisor_rich_candidates() if c <= _INT64_SIDES_M)
-    above = min(c for c in divisor_rich_candidates() if c > _INT64_SIDES_M)
-    assert (below, above) == (997920, 1108800)
-    for m in (below, above):
-        first = next(d for d in divisor_list(m) if d * d > 4 * m)  # gamma = 2
-        assert m % 1000
-        assert _relaxed_sums(_listed_pairs([m]), [m, m], [first, 1000]).tolist() == [
-            divisor_sum_naive(first, m, m), divisor_sum_naive(1000, m, m)]
-    # below the cutoff the sides are int64, and a batch that holds both
-    # candidates takes Python ints for all of them: the same numbers
-    alone = _majorant_sides(_listed_pairs([below]))
-    both = _majorant_sides(_listed_pairs([below, above]))
-    assert alone[2].dtype == np.int64 and both[2].dtype == object
-    m, d, lhs, rhs = columns = [column.tolist() for column in both]
-    n = len(alone[0])
-    assert [column[:n] for column in columns] == [part.tolist() for part in alone]
-    # and the sides are the cross-multiplied majorant itself
-    shat = _relaxed_sums(_listed_pairs([below, above]), m, d).tolist()
-    assert lhs == [s * x for s, x in zip(shat, d)]
-    assert rhs == [(x - 1) * (x - 2) * (x + 2 * y) for x, y in zip(d, m)]
+def test_majorant_sides_are_int64_for_every_candidate():
+    # one batch of all 540 candidates, to 11,793,600: the sides are the
+    # majorant step times q, in int64, and decide as its d*q cross-multiplication
+    pairs = _listed_pairs(divisor_rich_candidates())
+    sides = _majorant_sides(pairs)
+    assert [column.dtype for column in sides] == [np.int64] * 4
+    m, d, lhs, rhs = (column.tolist() for column in sides)
+    shat = _relaxed_sums(pairs, m, d).tolist()
+    pq = [gamma_value(y).as_integer_ratio() for y in m]
+    assert lhs == [s * q for s, (_, q) in zip(shat, pq)]
+    assert rhs == [(x - 1) * (x - 2) * (q + p * (y // x)) for x, y, (p, q) in zip(d, m, pq)]
+    undivided = [s * x * q > (x - 1) * (x - 2) * (x * q + p * y)
+                 for s, x, y, (p, q) in zip(shat, d, m, pq)]
+    assert [a > b for a, b in zip(lhs, rhs)] == undivided
+    assert {y for y, bad in zip(m, undivided) if bad} == EXPECTED_MAJORANT_FAILURES
 
 
 def test_sieved_pairs_are_the_listed_pairs():

@@ -327,3 +327,16 @@ def test_count_bound_sweep_is_pinned(capsys):
         sort_keys=True).encode()).hexdigest()
     assert digest == "8ee7f6300fc71aa87ee3c9cc060b621c4db2110b088fd44e9e96cd9ae1c210b0"
     assert lines[-1].endswith("78 refined-bound violations all listed")
+
+
+def test_count_bound_sweep_reports_an_unlisted_c0_violator(monkeypatch, capsys):
+    # drop 60, the least n above the refined bound, from the candidate set:
+    # the sweep's one c0 judge is check_divisor_count_bound
+    listed = divisors_module.is_divisor_rich_candidate
+    monkeypatch.setattr(divisors_module, "is_divisor_rich_candidate",
+                        lambda n: n != 60 and listed(n))
+    capsys.readouterr()
+    failures = sweep_divisor_count_bounds(5000)
+    assert [(r.kind, r.n, r.witness) for r in failures] == [
+        ("divcount-c0", 60, "bound fails and n is not a listed candidate")]
+    assert capsys.readouterr().err.splitlines()[-1].endswith("41 refined-bound violations NOT all listed")
