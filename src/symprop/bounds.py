@@ -173,9 +173,6 @@ def _capped_sums(m: int, top: int) -> list[int]:
 # moduli per block of the majorant sweep: bounds the divisor pairs held at
 # once (4,096 raised the peak RSS of a sweep to m = 100,000 by 4 MB more)
 _MAJORANT_BLOCK = 2048
-# listed candidates per batch of the majorant sweep: bounds peak RSS, as
-# the batch's divisor pairs each carry about a dozen int64 temporaries
-_CANDIDATE_CHUNK = 128
 
 
 def _sieved_pairs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,10 +379,10 @@ def sweep_divisor_majorant(
 
     The moduli go in batches, each one :func:`_majorant_sides` call:
     blocks of at most ``_MAJORANT_BLOCK`` consecutive m of the range, each
-    sieved over its own range, then the listed candidates in ascending
-    chunks of ``_CANDIDATE_CHUNK``.  So only one batch's divisor pairs are
-    held, and no m up to m_max is factorised.  Each failing m is reported by
-    :func:`verify_shat_condition`.
+    sieved over its own range, then all the listed candidates in one batch
+    (at most 36,289 divisor pairs, under 4 MB traced at its peak).  So only
+    one batch's divisor pairs are held, and no m up to m_max is factorised.
+    Each failing m is reported by :func:`verify_shat_condition`.
 
     Returns the failing reports, ascending in m; the expected failure set
     is EXPECTED_MAJORANT_FAILURES intersected with those moduli.
@@ -394,8 +391,7 @@ def sweep_divisor_majorant(
     batches = chain(
         (_sieved_pairs(lo, min(lo + _MAJORANT_BLOCK - 1, m_max))
          for lo in sieved[::_MAJORANT_BLOCK]),
-        (_listed_pairs(listed[at : at + _CANDIDATE_CHUNK])
-         for at in range(0, len(listed), _CANDIDATE_CHUNK)))
+        [_listed_pairs(listed)] if listed else [])
     failing: list[int] = []
     for pairs in batches:
         m, _, lhs, rhs = _majorant_sides(pairs)

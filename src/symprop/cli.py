@@ -137,7 +137,7 @@ def cmd_divisors(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma_check(args: argparse.Namespace) -> int:
-    containment = divisor_rich_candidates()[-1] if args.full else None
+    containment = max(args.limit, divisor_rich_candidates()[-1]) if args.full else None
     failures = sweep_divisor_count_bounds(args.limit, containment_limit=containment)
     failures += sweep_quadratic_divisor_sums(args.pairs_max)
     scope = f"counts to {args.limit}" + (f", containment to {containment}" if containment else "")

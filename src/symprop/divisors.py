@@ -359,16 +359,16 @@ def sweep_divisor_count_bounds(
     """Sieve d(n) and check every variant bound for all n up to ``limit``.
 
     The refined-constant containment check (failures of the "c0" bound must
-    all be listed candidates) runs up to ``containment_limit`` instead when
-    given; ``divisor_rich_candidates()[-1]`` covers every candidate.  Returns
-    the failures across all variants, expected empty.  The one sieve is read
-    in blocks of ``SWEEP_BLOCK`` integers, so only it grows with the range.
+    all be listed candidates) runs up to max(limit, containment_limit): a
+    ``containment_limit`` extends it and never narrows it;
+    ``divisor_rich_candidates()[-1]`` covers every candidate.  Returns the
+    failures across all variants, expected empty.  The one sieve is read in
+    blocks of ``SWEEP_BLOCK`` integers, so only it grows with the range.
     """
     top = max(limit, containment_limit or 0)
-    hi = containment_limit if containment_limit is not None else limit
     note(f"sieving divisor counts to {top}")
     counts = divisor_count_sieve(top)
-    upto = {variant: hi if variant == "c0" else limit for variant in COUNT_BOUNDS}
+    upto = {variant: top if variant == "c0" else limit for variant in COUNT_BOUNDS}
     above: dict[str, list[int]] = {variant: [] for variant in COUNT_BOUNDS}
     for start in range(1, top + 1, SWEEP_BLOCK):
         n = np.arange(start, min(start + SWEEP_BLOCK, top + 1), dtype=np.int64)
@@ -382,7 +382,7 @@ def sweep_divisor_count_bounds(
     reports = [check_divisor_count_bound(k, variant) for variant, ns in above.items() for k in ns]
     failures = [r for r in reports if not r.passed]
     stray = any(r.kind == "divcount-c0" for r in failures)
-    note(f"checked n <= {limit} (containment to {hi}): "
+    note(f"checked n <= {limit} (containment to {top}): "
          f"{len(failures)} failure(s), {len(above['c0'])} refined-bound violations "
          + ("NOT all listed" if stray else "all listed"))
     return failures

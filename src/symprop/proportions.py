@@ -183,8 +183,6 @@ class ProportionTable:
 
     def count(self, n: int, m: int, signed: bool = False) -> int:
         """The weighted count C(n) itself (n! times the proportion)."""
-        if m < 1:
-            raise ValueError("m must be positive")
         if n < 0:
             raise ValueError("count is defined for n >= 0")
         self._build(m, signed, n)
@@ -195,17 +193,13 @@ class ProportionTable:
         return self._entry(n) // q
 
     def prop(self, n: int, m: int, signed: bool = False) -> Fraction:
-        if m < 1:
-            raise ValueError("m must be positive")
         if n < 0:
             raise ValueError("prop is defined for n >= 0")
-        if n == 0:
-            return Fraction(1)
         self._build(m, signed, n)
         return Fraction(self._entry(n), self._scale)
 
     def ensure(self, m: int, upto: int, signed: bool = False) -> None:
-        self._build(m, signed, max(upto, 0))
+        self._build(m, signed, upto)
 
 
 def prop_order_dividing(n: int, m: int) -> Fraction:
@@ -369,8 +363,6 @@ def prop_split(n: int, m: int) -> SplitProportions:
     """
     if n < 3:
         raise ValueError("the split needs n >= 3")
-    if m < 1:
-        raise ValueError("m must be positive")
     t = ProportionTable()
     t.ensure(m, n - 3)  # every weight sits at s >= 3, so the parts read P(j, m), j <= n - 3
     row, scale = t._row, t._scale

@@ -25,9 +25,10 @@ The families and their groups:
 
 Each family's facts are written once, in its row of the private table
 ``_FAMILIES``: congruence and minimum degree, r, target type, s,
-computation group, floors, and the constants of the P(B) bound and the
-divisor classes.  Every function reads the row; P(A) is derived from it
-as one over the centralizer order of the target type, doubled in A_n.
+computation group, and the constants of the n^(2/3) floor, the P(B)
+bound and the divisor classes.  Every function reads the row; P(A) is
+derived from it as one over the centralizer order of the target type,
+doubled in A_n, and so are the three facts :class:`_Family` names.
 
 For cases 6 to 9 the conditioning event B consists of even
 permutations only (every cycle length divides 3r, which is odd), so
@@ -121,19 +122,23 @@ class CaseSpec:
 
 
 class _Family(NamedTuple):
-    """Every fact of one family, in the column order of ``_FAMILIES``."""
+    """Every fact of one family, in the column order of ``_FAMILIES``.
+
+    Derived, not stored: the congruence that error messages name, from
+    ``residues`` and ``modulus``; the absolute floor, 1/2 for a one-cycle
+    target (empty ``extra``) and 1/3 otherwise; and gamma(s*r) in the
+    n^(2/3) floor, gamma(n) at every degree of families 1, 4 and 5 (for
+    family 5, gamma(n - 1) and gamma(n) differ only at the odd n 61, 361).
+    """
 
     residues: tuple[int, ...]  # admissible n mod `modulus`
     modulus: int
     n_min: int
-    label: str  # the congruence, as error messages name it
     offset: int  # r = n - offset
     extra: tuple[int, ...]  # cycles of the target type besides the r-cycle
     s: int  # power order
     group: str  # computation group, "S" or "A"
-    floor: Fraction  # absolute floor for P(A | B) outside _FLOOR_EXCEPTIONS
     n23: tuple[Fraction, int, int]  # (base, a, b) of base - (a + b*gamma)/n^(2/3)
-    gamma_of_n: bool  # that gamma's argument: n if true, else s*r
     pb: tuple[Fraction, int, int] | None  # (lead, a, b); see prob_B_upper_bound
     # (cofactors, cutoff, stray (n, r, d), least n); see admissible_divisor_check
     classes: tuple[tuple[int, ...], int, tuple[int, int, int] | None, int] | None
@@ -141,27 +146,25 @@ class _Family(NamedTuple):
 
 _F = Fraction
 _FAMILIES: dict[int, _Family] = {
-    1: _Family((0,), 1, 5, "any n", 0, (), 1, "S", _F(1, 2), (_F(1), 8, 15), True, None, None),
-    2: _Family((1,), 2, 8, "n odd", 2, (2,), 2, "S", _F(1, 3), (_F(1), 18, 76), False,
-               (_F(1), 3, 18), ((2, 3), 5, None, 7)),
-    3: _Family((0,), 2, 8, "n even", 3, (2,), 2, "S", _F(1, 3), (_F(1), 18, 76), False,
-               (_F(1), 3, 18), ((2, 3), 5, None, 7)),
-    4: _Family((1,), 2, 5, "n odd", 0, (), 1, "A", _F(1, 2), (_F(1), 8, 15), True, None, None),
-    5: _Family((0,), 2, 5, "n even", 1, (), 1, "A", _F(1, 2), (_F(1), 8, 15), True, None, None),
-    6: _Family((2, 4), 6, 8, "n = 2 or 4 (mod 6)", 3, (3,), 3, "S", _F(1, 3), (_F(1), 98, 839),
-               False, (_F(1), 7, 39), ((3, 5, 7, 11, 13), 15, None, 8)),
-    7: _Family((3, 5), 6, 8, "n = 3 or 5 (mod 6)", 4, (3,), 3, "S", _F(1, 3), (_F(1), 98, 839),
-               False, (_F(1), 7, 39), ((3, 5, 7, 11, 13), 15, None, 8)),
-    8: _Family((0,), 6, 8, "n = 0 (mod 6)", 5, (3,), 3, "S", _F(1, 3), (_F(1), 98, 839),
-               False, (_F(1, 2), 7, 39), ((3, 5, 7, 11, 13), 15, None, 8)),
-    9: _Family((1,), 6, 8, "n = 1 (mod 6)", 6, (3,), 3, "S", _F(1, 3), (_F(1, 2), 46, 228),
-               False, (_F(1, 3), 7, 39), ((3, 5, 7, 11, 13), 15, None, 8)),
-    10: _Family((1,), 6, 8, "n = 1 (mod 6)", 5, (2, 3), 3, "A", _F(1, 3), (_F(1), 98, 839),
-                False, (_F(1), 8, 96), ((3, 4), 5, (13, 8, 12), 8)),
+    1: _Family((0,), 1, 5, 0, (), 1, "S", (_F(1), 8, 15), None, None),
+    2: _Family((1,), 2, 8, 2, (2,), 2, "S", (_F(1), 18, 76), (_F(1), 3, 18), ((2, 3), 5, None, 7)),
+    3: _Family((0,), 2, 8, 3, (2,), 2, "S", (_F(1), 18, 76), (_F(1), 3, 18), ((2, 3), 5, None, 7)),
+    4: _Family((1,), 2, 5, 0, (), 1, "A", (_F(1), 8, 15), None, None),
+    5: _Family((0,), 2, 5, 1, (), 1, "A", (_F(1), 8, 15), None, None),
+    6: _Family((2, 4), 6, 8, 3, (3,), 3, "S", (_F(1), 98, 839), (_F(1), 7, 39),
+               ((3, 5, 7, 11, 13), 15, None, 8)),
+    7: _Family((3, 5), 6, 8, 4, (3,), 3, "S", (_F(1), 98, 839), (_F(1), 7, 39),
+               ((3, 5, 7, 11, 13), 15, None, 8)),
+    8: _Family((0,), 6, 8, 5, (3,), 3, "S", (_F(1), 98, 839), (_F(1, 2), 7, 39),
+               ((3, 5, 7, 11, 13), 15, None, 8)),
+    9: _Family((1,), 6, 8, 6, (3,), 3, "S", (_F(1, 2), 46, 228), (_F(1, 3), 7, 39),
+               ((3, 5, 7, 11, 13), 15, None, 8)),
+    10: _Family((1,), 6, 8, 5, (2, 3), 3, "A", (_F(1), 98, 839), (_F(1), 8, 96),
+                ((3, 4), 5, (13, 8, 12), 8)),
 }
 
-# Degrees where the case-1 floor drops from 1/2 to 2/7.
-CASE1_WEAK_NS = frozenset({6, 8, 12, 24})
+# Degrees where the case-1 floor drops from 1/2 to 2/7: its divisors of 24.
+CASE1_WEAK_NS = frozenset(d for d in divisor_list(24) if d >= _FAMILIES[1].n_min)
 
 # (case_id, n) pairs whose floor is below the generic 1/3.  The last
 # entry is the family with r = 80: the defining relation r = n - 5 and
@@ -194,7 +197,9 @@ def _inadmissible(case_id: int, n: int, n_min: int | None = None) -> str | None:
     if n < n_min:
         return f"case {case_id} needs n >= {n_min}, got {n}"
     if n % fam.modulus not in fam.residues:
-        return f"case {case_id} needs {fam.label}, got n = {n}"
+        rule = (("n even", "n odd")[fam.residues[0]] if fam.modulus == 2
+                else f"n = {' or '.join(map(str, fam.residues))} (mod {fam.modulus})")
+        return f"case {case_id} needs {rule}, got n = {n}"
     return None
 
 
@@ -304,8 +309,10 @@ def prob_B_upper_bound(spec: CaseSpec) -> Fraction:
 
 
 def lower_bound_for(spec: CaseSpec) -> Fraction:
-    """The absolute floor for P(A | B) at this degree."""
-    return _FLOOR_EXCEPTIONS.get((spec.case_id, spec.n), _FAMILIES[spec.case_id].floor)
+    """The absolute floor for P(A | B) at this degree: 1/2 when the target
+    is one cycle and 1/3 otherwise, outside ``_FLOOR_EXCEPTIONS``."""
+    floor = Fraction(1, 3 if _FAMILIES[spec.case_id].extra else 2)
+    return _FLOOR_EXCEPTIONS.get((spec.case_id, spec.n), floor)
 
 
 def cond_probs(specs: Sequence[CaseSpec]) -> list[CondProbReport]:
@@ -336,7 +343,7 @@ def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
     """Whether a conditional P(A | B) of ``value`` clears both floors of the
     degree: the absolute one, and base - K/n^(2/3) with K = a + b*gamma.
 
-    The family row gives (base, a, b) and gamma's argument, n or s*r.  The
+    The family row gives (base, a, b), and gamma is gamma(s*r).  The
     second floor holds outright when the deficit base - value is at most 0;
     otherwise it is deficit**3 * n**2 <= K**3, an exact rational comparison
     with no irrational arithmetic.
@@ -346,7 +353,7 @@ def _floors_hold(spec: CaseSpec, value: Fraction) -> bool:
     fam = _FAMILIES[spec.case_id]
     base, a, b = fam.n23
     deficit = base - value
-    k = a + b * gamma_value(spec.n if fam.gamma_of_n else spec.order_bound)
+    k = a + b * gamma_value(spec.order_bound)
     return deficit <= 0 or deficit**3 * spec.n**2 <= k**3
 
 

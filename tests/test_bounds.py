@@ -187,30 +187,22 @@ def test_majorant_sweep_reads_gamma_from_gamma_value(monkeypatch):
 
 
 def test_majorant_sweep_memory_is_bounded():
-    sweep_divisor_majorant(60)  # the candidates' divisor lists, cached once
-    tracemalloc.start()
-    try:
-        sweep_divisor_majorant(19020)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # also caches the candidates' divisor lists, so the peaks below omit them
+    assert [r.m for r in sweep_divisor_majorant(60)] == [72, 120]
+    # at m_max = 60 every candidate above 60 is listed, all in one batch
+    for m_max in (60, 19020):
+        tracemalloc.start()
+        try:
+            sweep_divisor_majorant(m_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, m_max
     # no m of the dense range is factorised, so the divisor cache stays put
     sweep_divisor_majorant(3000, include_candidates=False)
     size = divisor_list.cache_info().currsize
     sweep_divisor_majorant(12000, include_candidates=False)
     assert divisor_list.cache_info().currsize == size
-
-
-def test_majorant_sweep_does_not_depend_on_the_candidate_chunk(monkeypatch):
-    want = [r.record() for r in sweep_divisor_majorant(60)]
-    # chunks of 7 put 997,920 and 1,108,800 in one chunk, on the Python-int path
-    monkeypatch.setattr(bounds, "_CANDIDATE_CHUNK", 7)
-    _, listed = majorant_moduli(60)
-    at = listed.index(997920)
-    assert at // 7 == (at + 1) // 7 and listed[at + 1] == 1108800
-    assert [r.record() for r in sweep_divisor_majorant(60)] == want
-    assert [r["m"] for r in want] == [72, 120]
 
 
 def test_majorant_moduli_list_only_the_candidates():

@@ -329,6 +329,15 @@ def test_count_bound_sweep_is_pinned(capsys):
     assert lines[-1].endswith("78 refined-bound violations all listed")
 
 
+def test_containment_limit_never_narrows_the_c0_check(capsys):
+    # a containment limit below the sweep's limit leaves c0 checked to the limit
+    capsys.readouterr()
+    sweep_divisor_count_bounds(5000, containment_limit=100)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "checked n <= 5000 (containment to 5000): 0 failure(s), "
+        "41 refined-bound violations all listed")
+
+
 def test_count_bound_sweep_reports_an_unlisted_c0_violator(monkeypatch, capsys):
     # drop 60, the least n above the refined bound, from the candidate set:
     # the sweep's one c0 judge is check_divisor_count_bound

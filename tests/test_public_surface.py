@@ -6,8 +6,11 @@ A name listed in a module's ``__all__`` must be referenced by code in
 ``src/symprop`` (a load of the name or of an attribute of that name, in any
 module but ``__init__.py``, whose imports only re-export) or be called by a
 library op of ``perfbench/workloads.py``.  A name that only tests reach is a
-test oracle and belongs in ``tests/``.  Everything is read from the source by
-``ast``, so nothing is imported.
+test oracle and belongs in ``tests/``.  Every private module-level name (a
+function, class or constant whose name starts with one underscore), and
+every field of a private class, must be loaded by code in ``src/symprop``:
+a setting or helper nothing reads is dead.  Everything is read from the
+source by ``ast``, so nothing is imported.
 """
 
 from __future__ import annotations
@@ -71,3 +74,35 @@ def test_every_public_name_is_reached_outside_the_tests():
                                      if file != "__init__.py"))
     assert sorted(public - reached) == sorted(UNREACHED_ALLOWED)
 
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The module's private top-level names, and ``Class.field`` for every
+    annotated field of a private class."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            bound = []
+        names += [name for name in bound if name.startswith("_") and not name.startswith("__")]
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            names += [f"{node.name}.{field.target.id}" for field in node.body
+                      if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)]
+    return names
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    """The names and attribute names the code reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_private_name_is_loaded_in_the_package():
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    loaded = set().union(*map(_loaded, trees))
+    dead = [name for tree in trees for name in _private_definitions(tree)
+            if name.rsplit(".", 1)[-1] not in loaded]
+    assert dead == []

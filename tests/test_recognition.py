@@ -11,12 +11,15 @@ import pytest
 import oracles
 from oracles import iter_partitions, n23_record, prob_A_centralizer, prob_A_rcycle
 from symprop import cli
+from symprop.divisors import gamma_value
 from symprop.proportions import ProportionTable, prop_alternating, prop_order_dividing
 from symprop.recognition import (
     CASE1_WEAK_NS,
     TABLE2_EXCEPTIONS,
+    _FAMILIES,
     _centralizer_order,
     _floors_hold,
+    _inadmissible,
     admissible_degrees,
     admissible_divisor_check,
     admissible_n,
@@ -53,6 +56,40 @@ def test_case_params_rejections():
         case_params(9, 12)  # needs n = 1 mod 6
     with pytest.raises(ValueError):
         case_params(6, 7)  # below the family threshold
+
+
+# each family's least inadmissible degree at or above its minimum, with the
+# message it got when every family row stored its congruence's wording
+CONGRUENCE_WORDING = {
+    2: (8, "case 2 needs n odd, got n = 8"),
+    3: (9, "case 3 needs n even, got n = 9"),
+    4: (6, "case 4 needs n odd, got n = 6"),
+    5: (5, "case 5 needs n even, got n = 5"),
+    6: (9, "case 6 needs n = 2 or 4 (mod 6), got n = 9"),
+    7: (8, "case 7 needs n = 3 or 5 (mod 6), got n = 8"),
+    8: (8, "case 8 needs n = 0 (mod 6), got n = 8"),
+    9: (8, "case 9 needs n = 1 (mod 6), got n = 8"),
+    10: (8, "case 10 needs n = 1 (mod 6), got n = 8"),
+}
+
+
+def test_congruence_wording_is_derived_from_the_residues():
+    # case 1 (modulus 1) rejects a degree only below its minimum
+    assert _inadmissible(1, 4) == "case 1 needs n >= 5, got 4"
+    assert all(admissible_n(1, n) for n in range(5, 2001))
+    for cid, (n, wording) in CONGRUENCE_WORDING.items():
+        assert all(admissible_n(cid, k) for k in range(_FAMILIES[cid].n_min, n)), cid
+        assert _inadmissible(cid, n) == wording
+
+
+def test_single_cycle_floors_read_gamma_of_the_modulus():
+    # the paper states the n^(2/3) floor of families 1, 4 and 5 with gamma(n)
+    # and _floors_hold reads gamma(s*r); the family-record digest stops at
+    # n = 300, below gamma's step at 360
+    for cid in (1, 4, 5):
+        for n in admissible_degrees(cid, 1, 2000):
+            spec = case_params(cid, n)
+            assert gamma_value(spec.n) == gamma_value(spec.order_bound), (cid, n)
 
 
 def test_admissible_degrees_partition_mod6():
